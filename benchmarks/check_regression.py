@@ -56,41 +56,11 @@ HARD_FLOORS = {
     # by at least 2x on the strings slice — the contract of the
     # synthesis-as-a-service layer (docs/service.md).
     "service_strings.speedup": 2.0,
-}
-
-# Floors that only hold given hardware: ``path -> (floor, min_cpus)``.
-# Sharding a DBS run across 4 workers must pay at least 1.5x on the
-# enumeration-heavy strings slice — but only a host that *has* 4 cores
-# can be held to that. On smaller hosts the floor is skipped with a
-# loud notice (never silently passed), so a single-core container can
-# regenerate BENCH_shard.json honestly while the 4-core CI leg
-# enforces the contract. The gated floor still participates in the
-# ordinary relative comparison on every host.
-CPU_GATED_FLOORS = {
-    "shard.speedup": (1.5, 4),
     # The adaptive example scheduler must cut the staircase p95 by at
-    # least 1.3x over FIFO (BENCH_schedule.json). The win is
-    # deadline-shaping, not parallelism, so it reproduces on one core —
-    # but the floor follows the same ≥4-cpu policy as the other gated
-    # benches so noisy tiny hosts can regenerate the file honestly.
-    "schedule.p95_speedup": (1.3, 4),
+    # least 1.3x over FIFO (BENCH_schedule.json). The win is deadline
+    # shaping, not parallelism, so it reproduces on one core.
+    "schedule.p95_speedup": 1.3,
 }
-
-
-def effective_floors(current: dict):
-    """``HARD_FLOORS`` plus every CPU-gated floor the current host
-    qualifies for; returns ``(floors, skipped)`` where ``skipped``
-    lists ``(path, floor, min_cpus, cpus)`` gates this host ducks."""
-    floors = dict(HARD_FLOORS)
-    host = current.get("host") or {}
-    cpus = int(host.get("cpus") or 0)
-    skipped = []
-    for path, (floor, min_cpus) in sorted(CPU_GATED_FLOORS.items()):
-        if cpus >= min_cpus:
-            floors[path] = floor
-        else:
-            skipped.append((path, floor, min_cpus, cpus))
-    return floors, skipped
 
 
 def _direction(key: str) -> int:
@@ -119,10 +89,8 @@ def _walk(node, path: str = "") -> Iterator[Tuple[str, str, float]]:
 
 
 def compare(baseline: dict, current: dict, tolerance: float):
-    """Return ``(regressions, missing, checked, floored, skipped)``
-    comparing metric leaves; ``floored`` lists hard-floor violations
-    and ``skipped`` the CPU-gated floors this host does not qualify
-    to enforce."""
+    """Return ``(regressions, missing, checked, floored)`` comparing
+    metric leaves; ``floored`` lists hard-floor violations."""
     current_leaves = {p: v for p, _, v in _walk(current)}
     regressions, missing, checked = [], [], []
     for path, key, base in _walk(baseline):
@@ -139,14 +107,12 @@ def compare(baseline: dict, current: dict, tolerance: float):
         checked.append((path, base, now, ratio, bad))
         if bad:
             regressions.append((path, base, now, ratio))
-    floors, skipped = effective_floors(current)
     floored = [
         (path, floor, current_leaves[path])
-        for path, floor in sorted(floors.items())
+        for path, floor in sorted(HARD_FLOORS.items())
         if path in current_leaves and current_leaves[path] < floor
     ]
-    skipped = [s for s in skipped if s[0] in current_leaves]
-    return regressions, missing, checked, floored, skipped
+    return regressions, missing, checked, floored
 
 
 def main(argv) -> int:
@@ -160,7 +126,7 @@ def main(argv) -> int:
     with open(argv[2]) as fh:
         current = json.load(fh)
 
-    regressions, missing, checked, floored, skipped = compare(
+    regressions, missing, checked, floored = compare(
         baseline, current, tolerance
     )
 
@@ -173,11 +139,6 @@ def main(argv) -> int:
         print(f"     MISSING  {path}: present in baseline, absent now")
     for path, floor, now in floored:
         print(f"       FLOOR  {path}: {now:g} below hard floor {floor:g}")
-    for path, floor, min_cpus, cpus in skipped:
-        print(
-            f"     SKIPPED  {path}: hard floor {floor:g} needs "
-            f">= {min_cpus} cpus, host has {cpus} — NOT enforced"
-        )
 
     if regressions or missing or floored:
         print(

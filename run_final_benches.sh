@@ -12,6 +12,5 @@ python benchmarks/bench_eval.py 2>&1 | tee /root/repo/bench_eval_output.txt
 python benchmarks/bench_enum.py 2>&1 | tee /root/repo/bench_enum_output.txt
 python benchmarks/bench_tds_warm.py 2>&1 | tee /root/repo/bench_tds_warm_output.txt
 python benchmarks/bench_service.py 2>&1 | tee /root/repo/bench_service_output.txt
-python benchmarks/bench_shard.py 2>&1 | tee /root/repo/bench_shard_output.txt
 python benchmarks/bench_schedule.py 2>&1 | tee /root/repo/bench_schedule_output.txt
 python -m pytest benchmarks/ --benchmark-only -s -q 2>&1 | tee /root/repo/bench_output.txt

@@ -127,7 +127,6 @@ def cmd_synthesize(args) -> int:
         dbs=DbsOptions(
             concurrent_loops=args.jobs > 1,
             enum_mode=getattr(args, "enum", None),
-            shard_jobs=getattr(args, "dbs_jobs", 0),
         ),
         reuse_pool=not args.no_pool_reuse,
         schedule=getattr(args, "schedule", None),
@@ -457,12 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--schedule",
-        choices=("fifo", "adaptive", "representative"),
+        choices=("fifo", "adaptive"),
         default=None,
-        help="example scheduler: fifo (caller order, the default), "
+        help="example scheduler: fifo (caller order, the default) or "
         "adaptive (cheap-first ordering, timeout deferral, escalating "
-        "per-iteration deadlines) or representative (admit only "
-        "failing examples, verify the skipped ones) "
+        "per-iteration deadlines) "
         "(equivalent to REPRO_TDS_SCHEDULE; see docs/scheduling.md)",
     )
     parser.add_argument(
@@ -480,15 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for experiment suites (traces and "
         "metrics are merged back); for synthesize, N>1 runs loop "
         "strategies concurrently with enumeration (default 1)",
-    )
-    parser.add_argument(
-        "--dbs-jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="shard each DBS generation's enumeration across N worker "
-        "processes (deterministic: identical pool and programs as a "
-        "serial run; equivalent to REPRO_DBS_JOBS; default serial)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

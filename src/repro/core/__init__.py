@@ -1,12 +1,12 @@
 """The paper's contribution: TDS (Algorithm 1) over DBS (Algorithm 2)."""
 
 from .budget import Budget, BudgetExhausted, default_budget
-from .components import ComponentPool, PoolOptions
 from .contexts import Context, contexts_of, subexpressions_of, trivial_context
 from .dbs import DbsOptions, DbsResult, DbsStats, dbs
 from .dsl_parser import DslParseError, parse_dsl
 from .engine import (
     Enumerator,
+    PoolOptions,
     PoolStore,
     StrategyRegistry,
     SynthesisSession,
@@ -70,7 +70,7 @@ from .types import (
 
 __all__ = [
     "ANY", "BOOL", "Budget", "BudgetExhausted", "CHAR", "Call",
-    "ComponentPool", "ConditionalRule", "Const", "Context", "DbsOptions",
+    "ConditionalRule", "Const", "Context", "DbsOptions",
     "DbsResult", "DbsStats", "Dsl", "DslBuilder", "DslError", "DslParseError", "parse_dsl", "Env",
     "EvaluationError", "Example", "Expr", "Foreach", "ForLoop", "Function",
     "Enumerator", "Hole", "INT", "If", "Lambda", "LambdaSpec", "LasyCall",

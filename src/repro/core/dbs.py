@@ -30,7 +30,6 @@ exhausted.
 from __future__ import annotations
 
 import io
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ from ..obs.trace import get_tracer
 from .budget import Budget, BudgetExhausted, CancelToken, Deadline, default_budget
 from .contexts import Context, trivial_context
 from .dsl import Dsl, Example, Signature
-from .engine.shard import DEFAULT_SHARD_MIN_COST
 from .engine.session import SynthesisSession
 from .evaluator import METRICS as EVAL_METRICS
 from .expr import Expr
@@ -70,19 +68,6 @@ class DbsOptions:
     # default), "classic" (per-expression reference pipeline), or None
     # to defer to the process-wide REPRO_ENUM switch.
     enum_mode: Optional[str] = None
-    # Shard each generation's enumeration across this many worker
-    # processes (see engine.shard; strictly deterministic — the merged
-    # pool and synthesized programs are byte-identical to a serial
-    # run). 0 defers to the REPRO_DBS_JOBS environment switch; 0/1
-    # there too means serial.
-    shard_jobs: int = 0
-    # Productions with fewer estimated candidate combinations than
-    # this run serially even when sharding is on: dispatch and record
-    # shipping would cost more than the enumeration they split. When
-    # left at the default, the REPRO_DBS_SHARD_MIN_COST environment
-    # switch overrides it (CI uses 0 to force worker dispatch on
-    # otherwise-small smoke tasks).
-    shard_min_cost: int = DEFAULT_SHARD_MIN_COST
 
 
 class _Metric:
@@ -307,40 +292,6 @@ def dbs(
 _RUN_DEPTH = threading.local()
 
 
-def _shard_jobs(options: DbsOptions) -> int:
-    """Effective worker count for sharded enumeration: the explicit
-    option, else the ``REPRO_DBS_JOBS`` environment default. Forced
-    serial inside any worker process (one flat level of parallelism)
-    and for the untyped no-DSL mode (its expansion has no
-    per-production combination stream to stride)."""
-    if os.environ.get("REPRO_IN_WORKER"):
-        return 0
-    jobs = options.shard_jobs
-    if not jobs:
-        try:
-            jobs = int(os.environ.get("REPRO_DBS_JOBS", "0") or 0)
-        except ValueError:
-            jobs = 0
-    if jobs > 1 and options.use_dsl:
-        return jobs
-    return 0
-
-
-def _shard_min_cost(options: DbsOptions) -> int:
-    """Effective per-production sharding threshold: the explicit
-    option, or — when it sits at the default — the
-    ``REPRO_DBS_SHARD_MIN_COST`` environment switch (used by CI to
-    force dispatch on small smoke tasks)."""
-    if options.shard_min_cost == DEFAULT_SHARD_MIN_COST:
-        try:
-            env = os.environ.get("REPRO_DBS_SHARD_MIN_COST")
-            if env:
-                return int(env)
-        except ValueError:
-            pass
-    return options.shard_min_cost
-
-
 def _run_dbs(
     contexts: Sequence[Context],
     examples: Sequence[Example],
@@ -361,7 +312,6 @@ def _run_dbs(
     examples = list(examples)
     if not contexts:
         contexts = [trivial_context(dsl)]
-    ephemeral_session = session is None
     if session is None:
         session = SynthesisSession(
             dsl,
@@ -370,20 +320,12 @@ def _run_dbs(
             lasy_signatures=dict(lasy_signatures or {}),
         )
     loop_state: Optional[_ConcurrentLoops] = None
-    shard_coord = None
 
     def finish(
         program: Optional[Expr], reason: Optional[str] = None
     ) -> DbsResult:
         if loop_state is not None:
             program = loop_state.finish(program, tracer)
-        if shard_coord is not None:
-            shard_coord.detach()
-            if ephemeral_session:
-                # Nobody holds this session after the run; reap its
-                # workers now (a persistent session keeps them warm
-                # until it is suspended).
-                session.close_shard_coordinator()
         session.cancel = None
         stats.elapsed = time.monotonic() - start_time
         stats.expressions = budget.expressions
@@ -417,15 +359,6 @@ def _run_dbs(
         )
         pool = session.pool
         registry = session.registry
-
-        jobs = _shard_jobs(options)
-        if jobs and getattr(_RUN_DEPTH, "value", 1) <= 1:
-            # Top-level runs only: a nested loop-body synthesis is
-            # small and already races the main thread's enumeration.
-            shard_coord = session.shard_coordinator(
-                jobs, _shard_min_cost(options)
-            )
-            shard_coord.attach(pool, session.enumerator)
 
         # 1. Startup strategies (Algorithm 2, line 1): serially up
         # front, or on a helper thread racing enumeration (§5.3's

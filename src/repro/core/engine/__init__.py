@@ -25,15 +25,11 @@ On top of those, the service layers (see docs/service.md):
   LaSy-state fingerprint, pool options, example-signature prefix);
 * :class:`~repro.core.engine.cache.SessionCache` — a bounded LRU of
   suspended warm sessions with exclusive checkout and optional
-  journal persistence, the store behind ``repro serve``;
-* :mod:`~repro.core.engine.shard` — deterministic intra-run sharding:
-  a :class:`~repro.core.engine.shard.ShardCoordinator` splits each
-  generation's candidate stream across replica-holding worker
-  processes and replays the merged survivors through the pool's
-  signature-interning admission tail.
+  journal persistence, the store behind ``repro serve``.
 
-``repro.core.components.ComponentPool`` remains as a thin facade over
-``PoolStore`` + ``Enumerator`` for existing callers.
+:mod:`~repro.core.engine.schedule` picks which queued example a TDS
+session admits next, and under what per-iteration deadline (see
+docs/scheduling.md).
 """
 
 from .cache import SessionCache
@@ -42,7 +38,6 @@ from .keys import SessionKey, example_fingerprints, session_key_for
 from .pool import PoolEntry, PoolOptions, PoolStore
 from .registry import StrategyEntry, StrategyRegistry, default_registry
 from .session import SynthesisSession
-from .shard import ShardCoordinator, ShardPlan
 from .testing import Tester
 
 __all__ = [
@@ -52,8 +47,6 @@ __all__ = [
     "PoolStore",
     "SessionCache",
     "SessionKey",
-    "ShardCoordinator",
-    "ShardPlan",
     "StrategyEntry",
     "StrategyRegistry",
     "SynthesisSession",

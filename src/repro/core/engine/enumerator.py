@@ -91,6 +91,21 @@ def lambda_nt(spec: LambdaSpec) -> str:
     return f"lambda({vars_part}:{spec.body_nt})"
 
 
+def _generation_productions(dsl) -> List[Production]:
+    """The productions a generation expands, in grammar order, before
+    :meth:`Enumerator.advance_batches` sorts them by cost: LaSy-call
+    productions and call/recursion productions that take arguments
+    (atoms are seeded, not generated)."""
+    return [
+        prod
+        for prod in dsl.productions
+        if (
+            prod.kind == "lasy_fn"
+            or (prod.kind in ("call", "recurse") and prod.args)
+        )
+    ]
+
+
 class Enumerator:
     """Generates expression generations into a borrowed store."""
 
@@ -107,20 +122,14 @@ class Enumerator:
         # this enumerator may then compute sampled fingerprints from the
         # pool's memoized grids (classic mode stays the reference path).
         self._fast_sampling = False
-        # Bound by ShardCoordinator.attach when a run shards generations
-        # across worker processes; None means every advance is serial.
-        self.shard_coord = None
 
     def __getstate__(self):
         # The slot cache is valid for one advance only and holds raw
         # entry-list aliases; never ship it. An advance is never in
-        # flight across a pickle, so the sampling flag resets too. The
-        # shard coordinator owns live worker processes and is strictly
-        # parent-side state.
+        # flight across a pickle, so the sampling flag resets too.
         state = self.__dict__.copy()
         state["_slot_cache"] = {}
         state["_fast_sampling"] = False
-        state["shard_coord"] = None
         return state
 
     # -- seeding -------------------------------------------------------
@@ -233,24 +242,10 @@ class Enumerator:
                 # Cheapest productions first: a huge production must not
                 # starve the small ones (and the solution is more often
                 # within reach of a small production's fresh combos).
-                from .shard import _generation_productions
-
                 ordered = sorted(
                     _generation_productions(store.dsl),
                     key=self._production_cost,
                 )
-                coord = self.shard_coord
-                if coord is not None:
-                    # Sharded advance: workers enumerate disjoint ordinal
-                    # strides of this generation against replicas, and
-                    # the coordinator replays the merged survivors here.
-                    # None means "run it serially" (generation too
-                    # small, or sharding permanently disabled after an
-                    # infrastructure failure) with the pool untouched.
-                    shard_gen = coord.try_generation(self, ordered, redone)
-                    if shard_gen is not None:
-                        yield from shard_gen
-                        return
                 prog = get_progress()
                 for prod in ordered:
                     use_batched = batched and self._batchable(prod)
@@ -463,11 +458,6 @@ class Enumerator:
         # prog-is-None case costs one comparison every combo, the
         # installed case one extra clock read every 2048 combos.
         prog = get_progress()
-        # Shard-capture mode (worker replica): the per-candidate work up
-        # to and including the admission filter runs here as usual, then
-        # the candidate is recorded for the parent's replay instead of
-        # entering the live dedup/admission tail.
-        capture = store._shard_capture
         combo_n = 0
         added: List[Expr] = []
         for combo in self._split_combinations(split_slots):
@@ -512,9 +502,6 @@ class Enumerator:
                     c_rejected.value += 1
                     if detailed:
                         c_rejected.label(reason="filter", nt=nt)
-                    continue
-                if capture is not None:
-                    capture.batched(nt, combo, values, make_expr)
                     continue
                 sig = sig_cols = None
                 if dedup:
@@ -706,17 +693,7 @@ class Enumerator:
         schedule — and therefore the same candidate order, which decides
         which of two observationally equal candidates wins admission —
         as :meth:`_fresh_combinations`, minus the per-production
-        re-filtering. In shard-capture mode the stream is strided down
-        to this worker's ordinal slice (same order, a congruence-class
-        subset)."""
-        capture = self.store._shard_capture
-        if capture is not None:
-            return capture.stride(self._all_split_combinations(split_slots))
-        return self._all_split_combinations(split_slots)
-
-    def _all_split_combinations(
-        self, split_slots: List[Tuple]
-    ) -> Iterable[Tuple[PoolEntry, ...]]:
+        re-filtering."""
         for j in range(len(split_slots)):
             fresh = split_slots[j][1]
             if not fresh:

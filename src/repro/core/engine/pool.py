@@ -215,13 +215,6 @@ class PoolStore:
         self._lasy_versions = {
             name: id(fn) for name, fn in self.lasy_fns.items()
         }
-        # Sharded-run hooks (see engine.shard). ``_shard_capture`` turns
-        # a worker replica's admission pipeline into record capture;
-        # ``_shard_log`` is the parent-side delta log of admissions the
-        # coordinator ships to keep replicas current. Both strictly
-        # process-local.
-        self._shard_capture = None
-        self._shard_log = None
 
         self.bind(metrics if metrics is not None else Registry(), self.budget)
 
@@ -303,18 +296,12 @@ class PoolStore:
         # reused id would silently skip a needed refresh); an empty
         # snapshot makes the first refresh_lasy re-check everything.
         state["_lasy_versions"] = {}
-        # Capture mode and the delta log never cross a pickle: a shipped
-        # replica starts as a plain serial store.
-        state["_shard_capture"] = None
-        state["_shard_log"] = None
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self.rewriter = Rewriter(self.dsl)
         self.budget = Budget()
-        self._shard_capture = None
-        self._shard_log = None
         self._bind_counters(Registry())
 
     def compatible_options(self, options: PoolOptions) -> bool:
@@ -408,15 +395,6 @@ class PoolStore:
         except Exception:
             return None
 
-    def _log_shard_op(self, op: Tuple) -> None:
-        """Record a pool mutation in the shard coordinator's delta log
-        (no-op in serial runs). Every admission-path state change —
-        entry ("e"), shadow ("sh"), or bare syntactic key ("k") — must
-        land here so worker replicas stay exact (see engine.shard)."""
-        log = self._shard_log
-        if log is not None:
-            log.append(op)
-
     # -- dedup / admission ---------------------------------------------
 
     def offer(
@@ -433,12 +411,6 @@ class PoolStore:
         (free-variable) fingerprint from the identity-memoized grids of
         :meth:`_grid_values` instead of a fresh per-candidate evaluation;
         the decision tree and signature semantics are unchanged."""
-        cap = self._shard_capture
-        if cap is not None:
-            # Worker replica in shard-capture mode: run the pipeline's
-            # shard-local half and record the survivor for the parent's
-            # replay instead of admitting (see engine.shard).
-            return cap.offer(expr, values, sampled_fast)
         self.budget.charge_expression()
         self._c_offered.value += 1
         if expr.size > self.options.max_expr_size:
@@ -490,11 +462,9 @@ class PoolStore:
                 self._c_rejected.value += 1
                 if self._detailed:
                     self._c_rejected.label(reason="filter", nt=expr.nt)
-                self._log_shard_op(("k", expr))
                 return None
         sig = None
         sig_cols = None
-        raw = None
         if self.options.semantic_dedup:
             raw, sig_cols = self._signature_state(
                 expr, values, sampled_fast=sampled_fast
@@ -506,13 +476,12 @@ class PoolStore:
                     self._c_semantic.value += 1
                     if self._detailed:
                         self._c_semantic.label(nt=expr.nt)
-                    shadowed = False
                     if values is not None:
                         # Remember the loser: it is hash-consed into the
                         # syntactic seen-set and could otherwise never
                         # come back, yet a future example may separate
                         # it from the entry that shadowed it.
-                        shadowed = self._shadow(
+                        self._shadow(
                             PoolEntry(
                                 expr,
                                 self.generation,
@@ -522,19 +491,6 @@ class PoolStore:
                                 self.example_epoch,
                             )
                         )
-                    if shadowed:
-                        self._log_shard_op(
-                            (
-                                "sh",
-                                expr,
-                                self.generation,
-                                values,
-                                raw,
-                                self.example_epoch,
-                            )
-                        )
-                    else:
-                        self._log_shard_op(("k", expr))
                     return None
                 seen.add(sig)
         entry = PoolEntry(
@@ -543,17 +499,6 @@ class PoolStore:
         if expr_vars:
             self._var_counts[expr.nt] = self._var_counts.get(expr.nt, 0) + 1
         self._admit(entry)
-        self._log_shard_op(
-            (
-                "e",
-                expr,
-                self.generation,
-                values,
-                raw,
-                self.example_epoch,
-                bool(expr_vars),
-            )
-        )
         return expr
 
     # -- batched admission (see engine.enumerator's batched mode) ------
@@ -582,8 +527,6 @@ class PoolStore:
         values: Tuple[Any, ...],
         sig: Optional[int],
         sig_cols: Optional[Tuple],
-        *,
-        canonical: bool = False,
     ) -> Optional[Expr]:
         """Admission tail for a batched-path survivor. The enumerator
         already charged the budget, checked the size cap, ran the
@@ -592,15 +535,13 @@ class PoolStore:
         carries a cached vector), so the shape and free-variable checks
         of :meth:`offer` hold statically. What is left is what needs the
         materialized expression: root canonicalization and syntactic
-        dedup. ``canonical=True`` (shard replay) skips the rewrite: the
-        worker already canonicalized — and counted — it."""
-        if not canonical:
-            rewritten = self.rewriter.canonicalize_root(expr)
-            if rewritten is not expr:
-                self._c_rewrites.value += 1
-                if self._detailed:
-                    self._c_rewrites.label(nt=expr.nt)
-                expr = rewritten
+        dedup."""
+        canonical = self.rewriter.canonicalize_root(expr)
+        if canonical is not expr:
+            self._c_rewrites.value += 1
+            if self._detailed:
+                self._c_rewrites.label(nt=expr.nt)
+            expr = canonical
         key = (expr.nt, expr)
         if key in self._seen_syntactic:
             self._c_syntactic.value += 1
@@ -620,10 +561,6 @@ class PoolStore:
                 self.example_epoch,
             )
         )
-        self._log_shard_op(
-            ("e", expr, self.generation, values, sig_cols,
-             self.example_epoch, False)
-        )
         return expr
 
     def shadow_batched(
@@ -632,20 +569,17 @@ class PoolStore:
         values: Tuple[Any, ...],
         sig: int,
         sig_cols: Optional[Tuple],
-        *,
-        canonical: bool = False,
     ) -> None:
         """Shadow a batched-path semantic loser, replicating the classic
         path's state: the loser is canonicalized, hash-consed into the
         syntactic seen-set (it can never be regenerated), and remembered
         for example-extension revival."""
-        if not canonical:
-            rewritten = self.rewriter.canonicalize_root(expr)
-            if rewritten is not expr:
-                self._c_rewrites.value += 1
-                if self._detailed:
-                    self._c_rewrites.label(nt=expr.nt)
-                expr = rewritten
+        canonical = self.rewriter.canonicalize_root(expr)
+        if canonical is not expr:
+            self._c_rewrites.value += 1
+            if self._detailed:
+                self._c_rewrites.label(nt=expr.nt)
+            expr = canonical
         key = (expr.nt, expr)
         if key in self._seen_syntactic:
             self._c_syntactic.value += 1
@@ -653,7 +587,7 @@ class PoolStore:
                 self._c_syntactic.label(nt=expr.nt)
             return
         self._seen_syntactic.add(key)
-        shadowed = self._shadow(
+        self._shadow(
             PoolEntry(
                 expr,
                 self.generation,
@@ -663,125 +597,6 @@ class PoolStore:
                 self.example_epoch,
             )
         )
-        if shadowed:
-            self._log_shard_op(
-                ("sh", expr, self.generation, values, sig_cols,
-                 self.example_epoch)
-            )
-        else:
-            self._log_shard_op(("k", expr))
-
-    # -- shard replay (see engine.shard) -------------------------------
-    #
-    # Workers run the pipeline's shard-local half — budget charge, size
-    # and shape caps, canonicalization, evaluation, admission filter,
-    # signature-column freezing — against a frozen replica and ship
-    # records; these methods are the serial half they deferred: every
-    # check whose outcome depends on *live* pool state (variable caps,
-    # cross-shard syntactic and semantic dedup), replayed in global
-    # candidate order so the merged pool is byte-for-byte what a serial
-    # run admits. Raw signatures are re-interned here, which both
-    # collapses cross-shard observational duplicates and reproduces the
-    # serial run's intern table exactly.
-
-    def replay_admit(
-        self,
-        expr: Expr,
-        values: Optional[Tuple[Any, ...]],
-        raw: Optional[Tuple],
-        has_vars: bool,
-    ) -> Optional[Expr]:
-        """Replay a classic-path (:meth:`offer`) candidate shipped by a
-        shard worker. ``expr`` is already canonical; ``raw`` is its
-        signature columns (or sampled fingerprint), not yet interned."""
-        if has_vars and (
-            self._var_counts.get(expr.nt, 0)
-            >= self.options.max_var_exprs_per_nt
-        ):
-            # Another shard's replayed admissions may have filled the
-            # cap since the worker's frozen check; the serial pipeline
-            # rejects before hash-consing, so leave no key behind.
-            self._c_rejected.value += 1
-            if self._detailed:
-                self._c_rejected.label(reason="var_cap", nt=expr.nt)
-            return None
-        key = (expr.nt, expr)
-        if key in self._seen_syntactic:
-            self._c_syntactic.value += 1
-            if self._detailed:
-                self._c_syntactic.label(nt=expr.nt)
-            return None
-        self._seen_syntactic.add(key)
-        sig = None
-        sig_cols = raw if values is not None else None
-        if self.options.semantic_dedup:
-            sig = self._intern_sig(raw)
-            if sig is not None:
-                seen = self._seen_semantic.setdefault(expr.nt, set())
-                if sig in seen:
-                    self._c_semantic.value += 1
-                    if self._detailed:
-                        self._c_semantic.label(nt=expr.nt)
-                    shadowed = False
-                    if values is not None:
-                        shadowed = self._shadow(
-                            PoolEntry(
-                                expr,
-                                self.generation,
-                                values,
-                                sig,
-                                sig_cols,
-                                self.example_epoch,
-                            )
-                        )
-                    if shadowed:
-                        self._log_shard_op(
-                            ("sh", expr, self.generation, values, raw,
-                             self.example_epoch)
-                        )
-                    else:
-                        self._log_shard_op(("k", expr))
-                    return None
-                seen.add(sig)
-        entry = PoolEntry(
-            expr, self.generation, values, sig, sig_cols, self.example_epoch
-        )
-        if has_vars:
-            self._var_counts[expr.nt] = self._var_counts.get(expr.nt, 0) + 1
-        self._admit(entry)
-        self._log_shard_op(
-            ("e", expr, self.generation, values, raw, self.example_epoch,
-             has_vars)
-        )
-        return entry.expr
-
-    def replay_batched(
-        self,
-        expr: Expr,
-        values: Tuple[Any, ...],
-        raw: Optional[Tuple],
-    ) -> Optional[Expr]:
-        """Replay a batched-path candidate shipped by a shard worker:
-        the batched dedup tail of the enumerator's inner loop, with the
-        signature re-interned against this pool's live table."""
-        sig = self._intern_sig(raw)
-        if sig is not None and sig in self._seen_semantic.get(expr.nt, ()):
-            self._c_semantic.value += 1
-            if self._detailed:
-                self._c_semantic.label(nt=expr.nt)
-            if self.shadow_has_room(expr.nt):
-                self.shadow_batched(expr, values, sig, raw, canonical=True)
-            return None
-        return self.admit_batched(expr, values, sig, raw, canonical=True)
-
-    def replay_syn_key(self, expr: Expr) -> None:
-        """Replay a filter-rejected classic-path candidate: the serial
-        pipeline hash-conses it before the admission filter runs, so the
-        only live state it leaves is its syntactic key."""
-        key = (expr.nt, expr)
-        if key not in self._seen_syntactic:
-            self._seen_syntactic.add(key)
-            self._log_shard_op(("k", expr))
 
     def partition(
         self, name: str, newest: int
@@ -837,12 +652,10 @@ class PoolStore:
             if ty is not None:
                 self._by_type.setdefault(ty, []).append(entry)
 
-    def _shadow(self, entry: PoolEntry) -> bool:
+    def _shadow(self, entry: PoolEntry) -> None:
         bucket = self._shadows.setdefault(entry.expr.nt, [])
         if len(bucket) < self.options.max_shadow_entries:
             bucket.append(entry)
-            return True
-        return False
 
     def _closed_evaluable(self, expr: Expr) -> bool:
         return (

@@ -5,10 +5,8 @@ TDS (Algorithm 1) consumes its example sequence in caller order, and
 `BENCH_tds_warm.json` shows why that is a p95 problem: one pathological
 example whose DBS iteration times out (~5s of a 60k-expression search)
 dwarfs every other iteration combined (~0.06s). The §6.2 ordering study
-(F7/F8) already measured the order sensitivity; "Selecting
-Representative Examples for Program Synthesis" (Pu et al.) showed a
-well-chosen subset finds the same program far faster. This module turns
-that observation into a pluggable policy layer, mirroring
+(F7/F8) already measured the order sensitivity. This module turns that
+observation into a pluggable policy layer, mirroring
 :class:`~.registry.StrategyRegistry`'s plugin shape: named entries, a
 default registry, ``register`` for extensions.
 
@@ -17,10 +15,6 @@ only decides, per TDS step:
 
 * **admission order** — which queued example the session consumes next
   (:meth:`ExampleScheduler.order`);
-* **admission at all** — whether an example the current program already
-  satisfies joins the DBS constraint set (``admits_all``); skipped
-  examples are re-verified against the final program in
-  :meth:`ExampleScheduler.wrapup`;
 * **per-iteration deadline** — an extra hard wall for one admission's
   DBS call (:meth:`ExampleScheduler.iteration_deadline`), composed into
   the budget via ``Budget.add_deadline`` so the tighter of it, the
@@ -28,7 +22,7 @@ only decides, per TDS step:
 
 All scheduler state that must survive suspension lives on the
 :class:`~..tds.TdsSession` itself (``_hard_fingerprints``,
-``_example_costs``, admitted/pending/skipped index lists), so cached
+``_example_costs``, admitted/pending index lists), so cached
 sessions keep their observations across requests and the scheduler
 object itself stays disposable.
 
@@ -48,25 +42,18 @@ Shipped schedulers:
     signal (no prior timeout, no recorded costs) the order degrades to
     arrival order exactly, so timeout-free runs are byte-identical to
     ``fifo``.
-``representative``
-    Greedy subset selection à la Pu et al.: admit only examples the
-    current program *fails*; verify the skipped ones against the final
-    program; on a verification failure, binary-search the failing
-    suffix of the skipped sequence back into the admitted set.
 
 Counters (process-global registry, ``obs.metrics.GLOBAL``):
-``schedule.deferred`` (timeout retries pushed behind the queue),
-``schedule.retried`` (deferred/suffix re-admissions actually run),
-``schedule.skipped`` (examples representative left out of the DBS set),
-``schedule.verified`` (skip-verification evaluations). The scheduling
-decisions themselves run under a ``tds.schedule`` span, which the trace
-report attributes to its own ``schedule`` phase.
+``schedule.deferred`` (timeout retries pushed behind the queue) and
+``schedule.retried`` (deferred re-admissions actually run). The
+scheduling decisions themselves run under a ``tds.schedule`` span, which
+the trace report attributes to its own ``schedule`` phase.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ...obs import metrics as obs_metrics
@@ -75,24 +62,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..tds import TdsSession, TdsStep
 
 #: Environment switch consulted when ``TdsOptions.schedule`` is None —
-#: same default-then-env resolution as ``REPRO_ENUM`` / shard settings.
+#: same default-then-env resolution as ``REPRO_ENUM``.
 ENV_SCHEDULE = "REPRO_TDS_SCHEDULE"
 DEFAULT_SCHEDULE = "fifo"
 
 _METRICS = obs_metrics.GLOBAL
 C_DEFERRED = _METRICS.counter("schedule.deferred")
 C_RETRIED = _METRICS.counter("schedule.retried")
-C_SKIPPED = _METRICS.counter("schedule.skipped")
-C_VERIFIED = _METRICS.counter("schedule.verified")
 
 
 def resolve_schedule(name: Optional[str]) -> str:
     """The effective scheduler name: explicit option, else the
-    ``REPRO_TDS_SCHEDULE`` environment switch, else ``fifo``."""
+    ``REPRO_TDS_SCHEDULE`` environment switch, else ``fifo``. An
+    environment value naming no registered scheduler falls back to
+    ``fifo``, as unknown ``REPRO_ENUM``/``REPRO_EVAL`` values fall back
+    to their defaults."""
     if name:
         return name
     env = os.environ.get(ENV_SCHEDULE, "").strip()
-    return env or DEFAULT_SCHEDULE
+    if env in SCHEDULERS.names():
+        return env
+    return DEFAULT_SCHEDULE
 
 
 class ExampleScheduler:
@@ -110,10 +100,6 @@ class ExampleScheduler:
     #: one-example-at-a-time behavior. False: examples queue and the
     #: scheduler decides the admission order at drain time.
     immediate = True
-    #: True: every fed example joins the DBS constraint set eventually
-    #: (the byte-identical-to-FIFO correctness bar applies). False: the
-    #: scheduler may skip examples and must verify them in ``wrapup``.
-    admits_all = True
 
     def order(self, session: "TdsSession", pending: Sequence[int]) -> List[int]:
         """Admission order over pending arrival indices (front first)."""
@@ -131,7 +117,7 @@ class ExampleScheduler:
 
     def wrapup(self, session: "TdsSession") -> List["TdsStep"]:
         """Post-queue work before the generic finalize retries (deferred
-        retries, skipped-example verification). Returns extra steps."""
+        retries). Returns extra steps."""
         return []
 
 
@@ -209,66 +195,6 @@ class AdaptiveScheduler(ExampleScheduler):
         return [session._retry_step(deferred[-1])]
 
 
-class RepresentativeScheduler(ExampleScheduler):
-    """Admit only failing examples; verify the skipped ones at the end.
-
-    Pu et al.'s observation: most examples are redundant — the program
-    synthesized from the informative subset already satisfies them.
-    Verification keeps the subset honest: any skipped example the final
-    program fails is admitted back, together with every skipped example
-    after it (the *failing suffix* — later skips were verified against
-    a program that is about to change, so their verdicts are stale).
-    The suffix boundary is found by binary search over the monotone
-    prefix predicate "every skipped example before ``k`` is satisfied";
-    verdicts are memoized so the search costs at most one evaluation
-    per skipped example.
-    """
-
-    name = "representative"
-    immediate = False
-    admits_all = False
-
-    def wrapup(self, session):
-        steps: List["TdsStep"] = []
-        while session._skipped and not session._truncated():
-            skipped = list(session._skipped)
-            verdicts: Dict[int, bool] = {}
-
-            def satisfied(pos: int) -> bool:
-                if pos not in verdicts:
-                    C_VERIFIED.value += 1
-                    program = session.program
-                    verdicts[pos] = program is not None and session._satisfies(
-                        program, session.examples[skipped[pos]]
-                    )
-                return verdicts[pos]
-
-            def prefix_clean(k: int) -> bool:
-                return all(satisfied(pos) for pos in range(k))
-
-            if prefix_clean(len(skipped)):
-                break  # every skip verified against the final program
-            # Binary search the first failing position: prefix_clean is
-            # monotone non-increasing in k, memoization bounds the total
-            # evaluations by len(skipped).
-            lo, hi = 1, len(skipped)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if prefix_clean(mid):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            first_failing = lo - 1
-            suffix = skipped[first_failing:]
-            del session._skipped[
-                len(session._skipped) - len(suffix):
-            ]
-            for index in suffix:
-                C_RETRIED.value += 1
-                steps.append(session._admit(index))
-        return steps
-
-
 @dataclass(frozen=True)
 class SchedulerEntry:
     """One registered scheduler (mirrors ``StrategyEntry``)."""
@@ -328,12 +254,6 @@ def default_schedulers() -> SchedulerRegistry:
         AdaptiveScheduler,
         description="cheap-first order, timeout deferral, escalating "
         "per-iteration deadlines",
-    )
-    registry.register(
-        "representative",
-        RepresentativeScheduler,
-        description="admit only failing examples; verify skips, "
-        "binary-search the failing suffix back in",
     )
     return registry
 

@@ -126,11 +126,6 @@ class SynthesisSession:
         # by _extend_warm after the pool is re-bound (so the reorder's
         # dedup counters land on the current run's registry).
         self._pending_reorder: Optional[List[int]] = None
-        # Cross-run (but strictly process-local) shard coordinator: kept
-        # alive between runs so sharded DBS reuses warm worker replicas;
-        # released by suspend — a cached session must not pin worker
-        # processes. See engine.shard.
-        self.shard_coord = None
 
     # -- identity / lifecycle ------------------------------------------
 
@@ -170,34 +165,10 @@ class SynthesisSession:
         self.acceptable = {}
         self.previous_program = None
         self._pending_reorder = None
-        self.close_shard_coordinator()
         if self.pool is not None:
             self.pool.previous_program = None
             self.pool.guard_sets = []
             self.pool.suspend()
-
-    def shard_coordinator(self, jobs: int, min_cost: int):
-        """The session's shard coordinator for a run at ``jobs`` workers,
-        creating (or re-creating, if the worker count changed) it on
-        demand. Kept across runs so worker replicas stay warm and are
-        synced with deltas instead of fresh snapshots."""
-        from .shard import ShardCoordinator
-
-        coord = self.shard_coord
-        if coord is not None and (coord.jobs != jobs or coord.closed):
-            coord.close()
-            coord = None
-        if coord is None:
-            coord = ShardCoordinator(jobs, min_cost=min_cost)
-            self.shard_coord = coord
-        coord.min_cost = min_cost
-        return coord
-
-    def close_shard_coordinator(self) -> None:
-        """Reap shard workers (and absorb their trace shards), if any."""
-        coord, self.shard_coord = self.shard_coord, None
-        if coord is not None:
-            coord.close()
 
     def __getstate__(self):
         # Suspend-equivalent for transport: per-run references are not
@@ -205,15 +176,7 @@ class SynthesisSession:
         # deadlines) and must not travel; the pool and enumerator have
         # their own __getstate__ that preserves the warm search state.
         state = self.__dict__.copy()
-        for name in (
-            "budget",
-            "stats",
-            "tracer",
-            "tester",
-            "store",
-            "cancel",
-            "shard_coord",
-        ):
+        for name in ("budget", "stats", "tracer", "tester", "store", "cancel"):
             state[name] = None
         state["contexts"] = []
         state["acceptable"] = {}
@@ -223,7 +186,6 @@ class SynthesisSession:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self.shard_coord = None
         if self.pool is not None:
             # The pool re-binds to private counters on unpickle; keep
             # the shared-mapping invariant (session and pool must see

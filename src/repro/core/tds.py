@@ -79,11 +79,8 @@ class TdsStep:
     """One iteration's record; Fig. 10 aggregates the DBS timings.
 
     ``action`` is ``'satisfied' | 'synthesized' | 'timeout'`` for the
-    Algorithm-1 outcomes, plus the scheduling outcomes ``'queued'`` (a
-    non-FIFO scheduler buffered the example for later admission) and
-    ``'skipped'`` (the representative scheduler left a satisfied
-    example out of the DBS constraint set; it is re-verified against
-    the final program)."""
+    Algorithm-1 outcomes, plus the scheduling outcome ``'queued'`` (a
+    non-FIFO scheduler buffered the example for later admission)."""
 
     example_index: int
     action: str
@@ -117,7 +114,7 @@ class TdsResult:
         return [
             s.dbs_time
             for s in self.steps
-            if s.action not in ("satisfied", "queued", "skipped")
+            if s.action not in ("satisfied", "queued")
         ]
 
 
@@ -159,14 +156,12 @@ class TdsSession:
         # identity (session_key, satisfies_all). The index lists below
         # track what the scheduler did with them: ``_admitted`` is the
         # DBS constraint set in admission order (== arrival order under
-        # fifo), ``_pending`` the queued-not-yet-admitted indices,
-        # ``_skipped`` what the representative scheduler left out. The
+        # fifo), ``_pending`` the queued-not-yet-admitted indices. The
         # fingerprint-keyed observations (``_example_costs``,
         # ``_hard_fingerprints``) survive suspension so a cached
         # session's adaptive ordering remembers which example hurt.
         self._pending: List[int] = []
         self._admitted: List[int] = []
-        self._skipped: List[int] = []
         self._deferred: List[int] = []
         self._hard_fingerprints: set = set()
         self._example_costs: dict = {}
@@ -219,9 +214,9 @@ class TdsSession:
         steps: List[TdsStep] = []
         tracer = get_tracer()
         while self._pending:
-            # The scheduling decision itself (ordering, skip probes)
-            # runs under its own span so the trace report can attribute
-            # its cost to the ``schedule`` phase.
+            # The scheduling decision itself runs under its own span so
+            # the trace report can attribute its cost to the
+            # ``schedule`` phase.
             with tracer.span(
                 "tds.schedule",
                 scheduler=scheduler.name,
@@ -230,21 +225,7 @@ class TdsSession:
             ) as span:
                 index = scheduler.order(self, self._pending)[0]
                 self._pending.remove(index)
-                skip = (
-                    not scheduler.admits_all
-                    and self.program is not None
-                    and self._satisfies(self.program, self.examples[index])
-                )
-                span.set(index=index, skipped=skip)
-            if skip:
-                from .engine.schedule import C_SKIPPED
-
-                C_SKIPPED.value += 1
-                self._skipped.append(index)
-                step = TdsStep(index, "skipped")
-                self.steps.append(step)
-                steps.append(step)
-                continue
+                span.set(index=index)
             steps.append(self._admit(index))
         return steps
 
@@ -322,8 +303,8 @@ class TdsSession:
         examples arrive; the last examples get the same second chance
         here (``final_retries`` extra DBS calls with the grown branch
         budget). Queued examples are drained first, and the scheduler's
-        own wrap-up (deferred-timeout retries, representative
-        skipped-example verification) runs before the generic retries."""
+        own wrap-up (deferred-timeout retries) runs before the generic
+        retries."""
         if self._pending:
             self.drain()
         self._scheduler().wrapup(self)
@@ -607,16 +588,6 @@ class TdsSession:
         if self._engine is not None:
             self._engine.suspend()
 
-    def release_workers(self) -> None:
-        """Reap shard-enumeration worker processes (folding their trace
-        shards into the active trace) without suspending the session:
-        the warm pool and enumerator stay live, and a later DBS call
-        respawns workers on demand. For sessions that outlive their
-        request but are not cache-managed (a CLI run's result keeps
-        them for warm resumption)."""
-        if self._engine is not None:
-            self._engine.close_shard_coordinator()
-
     def reset_clock(
         self,
         cancel: Optional[CancelToken] = None,
@@ -678,7 +649,6 @@ class TdsSession:
         self.__dict__.setdefault(
             "_admitted", list(range(len(self.examples)))
         )
-        self.__dict__.setdefault("_skipped", [])
         self.__dict__.setdefault("_deferred", [])
         self.__dict__.setdefault("_hard_fingerprints", set())
         self.__dict__.setdefault("_example_costs", {})

@@ -158,10 +158,6 @@ def _worker_main(
     emitting its ``profile.samples`` event into the worker's trace
     shard after the task — the parent's shard splicing tags it with the
     worker id, so merged reports attribute samples per worker."""
-    # Work dispatched from inside a worker must never fan out again
-    # (e.g. a suite task running a synthesis while REPRO_DBS_JOBS asks
-    # for sharded enumeration): one flat level of parallelism.
-    os.environ["REPRO_IN_WORKER"] = "1"
     faults = FaultPlan.parse(faults_spec) if faults_spec else None
     evaluator.set_eval_mode(eval_mode)
     tracer: Optional[JsonlTracer] = None
@@ -651,260 +647,3 @@ def _cleanup_shards(trace_base: Optional[str]) -> None:
             os.remove(shard)
         except OSError:
             pass
-
-
-class ShardWorkerPoolError(RuntimeError):
-    """The shard pool lost a slot for good (retry budget exhausted,
-    respawn failure, or a collective timeout)."""
-
-
-class ShardWorkerPool:
-    """A long-lived, slot-affine worker fleet for intra-run DBS sharding.
-
-    Same worker protocol and fault posture as :func:`parallel_map` —
-    the *identical* ``_worker_main`` loop, daemon processes, crash
-    detection via pipe EOF and process sentinels, bounded retries with
-    deterministic backoff, fault injection keyed by ``(slot, attempt)``
-    so ``REPRO_FAULTS=crash:0@0`` kills shard slot 0's first attempt
-    and nothing else — but with two differences that sharding needs:
-
-    * **slot affinity**: worker *k* always runs shard *k*'s task, so it
-      can keep a replicated pool in memory across generations and be
-      synced with deltas; a crashed slot is respawned in place and its
-      task re-sent through the ``rebuild`` callback (which ships a full
-      snapshot to the fresh, replica-less process);
-    * **all-or-nothing rounds**: :meth:`run` dispatches exactly one task
-      per slot and returns only when every slot has answered. Any
-      unrecoverable slot raises, because a generation with a missing
-      shard cannot be merged — the caller falls back to serial
-      enumeration with the parent pool untouched.
-
-    Per-task metrics snapshots merge back into the process-global
-    registries exactly as in :func:`parallel_map`; ``exec.*`` crash,
-    retry, and restart counters land in the global registry too. Trace
-    shards stay on disk across the pool's life (workers flush per task)
-    and are listed by :meth:`shard_paths` for the owner to absorb at
-    close.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        trace_base: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-    ):
-        self.jobs = jobs
-        self.retry = retry or RetryPolicy()
-        self.trace_base = trace_base
-        self._faults = faults if faults is not None else FaultPlan.from_env()
-        self._ctx = multiprocessing.get_context()
-        self._worker_args = (
-            trace_base,
-            evaluator.get_eval_mode(),
-            self._faults.spec if self._faults is not None else "",
-            0.0,
-        )
-        self._workers: List[Optional[_Worker]] = [
-            _spawn_worker(self._ctx, self._worker_args) for _ in range(jobs)
-        ]
-        self._closed = False
-        # (fn, items) of a round started but not yet collected; lets the
-        # owner overlap its own work with worker compute (see start).
-        self._pending: Optional[Tuple[TaskFn, List[Any]]] = None
-
-    def run(
-        self,
-        fn: TaskFn,
-        items: Sequence[Any],
-        rebuild: Optional[Callable[[int, int], Any]] = None,
-        timeout_s: Optional[float] = None,
-    ) -> List[Any]:
-        """One task per slot; returns per-slot results in slot order.
-
-        ``rebuild(slot, attempt)`` supplies the payload for a retry
-        after slot death (the replacement process holds no replica, so
-        retries generally need a fuller payload than the original).
-        ``timeout_s`` bounds the whole round; on expiry every busy slot
-        is killed and respawned and the round fails."""
-        self.start(fn, items)
-        return self.finish(rebuild=rebuild, timeout_s=timeout_s)
-
-    def start(self, fn: TaskFn, items: Sequence[Any]) -> None:
-        """Dispatch one task per slot without waiting for results.
-
-        The pipe is the queue: the caller can do its own work — or even
-        ``start`` nothing else, just delay the collection — while every
-        worker crunches, then :meth:`finish` the round. Exactly one
-        round may be in flight."""
-        if self._closed:
-            raise ShardWorkerPoolError("pool is closed")
-        if self._pending is not None:
-            raise ShardWorkerPoolError("a round is already in flight")
-        if len(items) != self.jobs:
-            raise ValueError(f"expected {self.jobs} items, got {len(items)}")
-        sent: List[Any] = list(items)
-        for slot in range(self.jobs):
-            worker = self._workers[slot]
-            assert worker is not None
-            try:
-                worker.conn.send((slot, 0, fn, sent[slot]))
-            except (OSError, ValueError):
-                # A dead pipe at send time is recoverable: finish()'s
-                # sentinel wait sees the corpse and retries the slot.
-                pass
-        self._pending = (fn, sent)
-
-    def finish(
-        self,
-        rebuild: Optional[Callable[[int, int], Any]] = None,
-        timeout_s: Optional[float] = None,
-    ) -> List[Any]:
-        """Collect the in-flight round started by :meth:`start`.
-
-        ``timeout_s`` is measured from this call — time the caller
-        spent working between ``start`` and ``finish`` is the overlap
-        being bought, not part of the round's budget."""
-        if self._pending is None:
-            raise ShardWorkerPoolError("no round in flight")
-        fn, items = self._pending
-        exec_reg = Registry()
-        c_retries = exec_reg.counter("exec.retries")
-        c_crashes = exec_reg.counter("exec.worker_crashes")
-        c_restarts = exec_reg.counter("exec.worker_restarts")
-        results: List[Any] = [None] * self.jobs
-        attempts = [0] * self.jobs
-        outstanding = set(range(self.jobs))
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
-        error: Optional[BaseException] = None
-
-        def dispatch(slot: int) -> None:
-            worker = self._workers[slot]
-            assert worker is not None
-            payload = items[slot]
-            if attempts[slot] > 0 and rebuild is not None:
-                payload = rebuild(slot, attempts[slot])
-            worker.conn.send((slot, attempts[slot], fn, payload))
-
-        def respawn(slot: int, kill: bool) -> None:
-            worker = self._workers[slot]
-            if worker is not None:
-                _shutdown_worker(worker, kill=kill)
-            self._workers[slot] = _spawn_worker(self._ctx, self._worker_args)
-            c_restarts.value += 1
-
-        def crashed(slot: int, message: str) -> None:
-            c_crashes.value += 1
-            attempts[slot] += 1
-            if attempts[slot] >= self.retry.max_attempts:
-                raise ShardWorkerPoolError(
-                    f"shard slot {slot} failed after "
-                    f"{attempts[slot]} attempts: {message}"
-                )
-            c_retries.value += 1
-            respawn(slot, kill=True)
-            time.sleep(self.retry.delay(slot, attempts[slot]))
-            dispatch(slot)
-
-        try:
-            while outstanding:
-                wait_for: List[Any] = []
-                for slot in outstanding:
-                    worker = self._workers[slot]
-                    assert worker is not None
-                    wait_for.append(worker.conn)
-                    wait_for.append(worker.proc.sentinel)
-                timeout = None
-                if deadline is not None:
-                    timeout = max(0.0, deadline - time.monotonic())
-                ready = set(connection_wait(wait_for, timeout=timeout))
-                if not ready:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        raise ShardWorkerPoolError(
-                            f"shard round exceeded {timeout_s}s"
-                        )
-                    continue
-                for slot in sorted(outstanding):
-                    worker = self._workers[slot]
-                    assert worker is not None
-                    if worker.conn in ready or worker.conn.poll():
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            crashed(slot, "worker pipe closed mid-task")
-                            continue
-                        _idx, status, payload, snapshots = message
-                        if status == "ok":
-                            results[slot] = payload
-                            outstanding.discard(slot)
-                            if snapshots:
-                                evaluator.METRICS.merge(snapshots["evaluator"])
-                                obs_metrics.GLOBAL.merge(snapshots["global"])
-                        elif isinstance(payload, SimulatedCrash):
-                            # Process-level injections os._exit before
-                            # replying; a task-level crash arrives here
-                            # and retries through the same path.
-                            crashed(slot, f"injected fault: {payload}")
-                        else:
-                            raise payload
-                    elif worker.proc.sentinel in ready:
-                        code = worker.proc.exitcode
-                        crashed(slot, f"worker died (exit code {code})")
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            self._pending = None
-            if error is not None:
-                # The round is unmergeable; reap every in-flight slot so
-                # no worker keeps enumerating a dead generation.
-                for slot in list(outstanding):
-                    respawn(slot, kill=True)
-            obs_metrics.GLOBAL.merge(exec_reg.snapshot())
-        return results
-
-    @property
-    def pending(self) -> bool:
-        """Whether a started round has not been collected yet."""
-        return self._pending is not None
-
-    def abort(self) -> None:
-        """Kill and respawn every slot, discarding the in-flight round.
-
-        For rounds whose results can no longer matter (the caller's
-        generation was abandoned): waiting out a mid-enumeration worker
-        could take longer than the work it was meant to save, so the
-        processes are reaped. Any replica state the workers held dies
-        with them — the owner must invalidate its sync cursors."""
-        if self._closed:
-            return
-        self._pending = None
-        reg = Registry()
-        c_restarts = reg.counter("exec.worker_restarts")
-        for slot in range(self.jobs):
-            worker = self._workers[slot]
-            if worker is not None:
-                _shutdown_worker(worker, kill=True)
-            self._workers[slot] = _spawn_worker(self._ctx, self._worker_args)
-            c_restarts.value += 1
-        obs_metrics.GLOBAL.merge(reg.snapshot())
-
-    def shard_paths(self) -> List[str]:
-        """Worker trace-shard files written so far (absorb after
-        :meth:`close`, when every worker has flushed and exited)."""
-        if not self.trace_base:
-            return []
-        return sorted(glob.glob(f"{self.trace_base}.worker-*.jsonl"))
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._pending = None
-        for slot, worker in enumerate(self._workers):
-            if worker is not None:
-                _shutdown_worker(worker)
-            self._workers[slot] = None

@@ -237,12 +237,6 @@ def run_lasy(
         for session in sessions.values():
             session_cache.release(session)
         result_sessions = {}
-    else:
-        # The result keeps live sessions for warm resumption, but shard
-        # workers must not outlive the run (and their trace shards fold
-        # into this run's trace); a resume respawns them on demand.
-        for session in sessions.values():
-            session.release_workers()
 
     return LasyRunResult(
         program=program,

@@ -39,8 +39,8 @@ _PHASES = {
     # vectors, reviving shadows, re-seeding atoms).
     "pool.extend": "pool",
     # Example-scheduling decisions (engine.schedule): ordering the
-    # pending queue, representative skip probes. Self-time only — the
-    # admission the decision leads to is attributed to its own phases.
+    # pending queue. Self-time only — the admission the decision leads
+    # to is attributed to its own phases.
     "tds.schedule": "schedule",
     "dbs.test": "test",
     "dbs.strategies": "strategies",

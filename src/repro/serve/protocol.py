@@ -13,8 +13,8 @@ Request::
 ``op`` is one of ``synthesize``, ``ping``, ``stats``, ``shutdown``.
 ``id`` is echoed back verbatim (any JSON value); omitted means null.
 ``schedule`` (optional) picks the example scheduler for this request —
-``fifo`` (default), ``adaptive`` or ``representative`` (see
-docs/scheduling.md); an unknown name is a ``bad-request``.
+``fifo`` (default) or ``adaptive`` (see docs/scheduling.md); an
+unknown name is a ``bad-request``.
 
 Response::
 

@@ -226,8 +226,8 @@ class SynthesisServer:
             return error_response(
                 request_id, "bad-request", "'timeout_s' must be a number"
             )
-        # Per-request example scheduler ("schedule": "fifo" | "adaptive"
-        # | "representative"); None falls back to the server's options.
+        # Per-request example scheduler ("schedule": "fifo" |
+        # "adaptive"); None falls back to the server's options.
         # A different scheduler keys a different cached session, so a
         # client's choice never poisons another client's warm state.
         schedule = message.get("schedule")

@@ -31,7 +31,7 @@ from repro.core.expr import (
     Param,
     Var,
 )
-from repro.core.components import lambda_nt
+from repro.core.engine.enumerator import lambda_nt
 from repro.core.types import BOOL, INT, STRING, Type, types_compatible
 from repro.core.values import freeze
 from repro.domains.registry import get_domain

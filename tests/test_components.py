@@ -1,11 +1,12 @@
-"""Tests for the component pool (repro.core.components, §5.1)."""
+"""Tests for the component pool (§5.1): a ``PoolStore`` seeded and grown
+by an ``Enumerator``."""
 
 import pytest
 
 from repro.core.budget import Budget, BudgetExhausted
-from repro.core.components import ComponentPool, PoolOptions
 from repro.core.dsl import DslBuilder, Example, LambdaSpec, Signature
 from repro.core.expr import Call, Const, Lambda, Param, Recurse, Var
+from repro.core.engine import Enumerator, PoolOptions, PoolStore
 from repro.core.types import BOOL, INT, STRING, list_of
 
 
@@ -29,14 +30,19 @@ SIG = Signature("f", (("x", INT),), INT)
 EXAMPLES = [Example((2,), 4), Example((5,), 10)]
 
 
-def make_pool(dsl=None, examples=EXAMPLES, **kwargs):
-    return ComponentPool(dsl or arith_dsl(), SIG, examples, **kwargs)
+def make_pool(dsl=None, examples=EXAMPLES, seeds=(), **kwargs):
+    """A store seeded with the atoms and ``seeds``, and the enumerator
+    that grows it."""
+    store = PoolStore(dsl or arith_dsl(), SIG, examples, **kwargs)
+    enum = Enumerator(store)
+    enum.seed(seeds)
+    return store, enum
 
 
 class TestAtoms:
     def test_params_and_constants_seeded(self):
-        pool = make_pool()
-        atoms = {str(e) for e in pool.expressions("e")}
+        store, _ = make_pool()
+        atoms = {str(e) for e in store.expressions("e")}
         assert "x" in atoms
         assert "0" in atoms and "1" in atoms
 
@@ -46,32 +52,32 @@ class TestAtoms:
             (Param("x", INT, "e"), Param("x", INT, "e")),
             "e",
         )
-        pool = make_pool(seeds=[seed])
-        assert seed in pool.expressions("e")
+        store, _ = make_pool(seeds=[seed])
+        assert seed in store.expressions("e")
 
 
 class TestGeneration:
     def test_advance_produces_compositions(self):
-        pool = make_pool()
-        added = pool.advance()
+        _, enum = make_pool()
+        added = enum.advance()
         rendered = {str(e) for e in added}
         assert "Mul(x, x)" in rendered or "Add(x, x)" in rendered
 
     def test_all_smaller_before_larger(self):
-        pool = make_pool()
-        gen1 = pool.advance()
+        _, enum = make_pool()
+        gen1 = enum.advance()
         assert all(e.size <= 3 for e in gen1)
-        gen2 = pool.advance()
+        gen2 = enum.advance()
         assert any(e.size == 5 for e in gen2)
 
     def test_no_duplicate_expressions_across_generations(self):
-        pool = make_pool()
+        store, enum = make_pool()
         seen = set()
-        for expr in pool.all_expressions():
+        for expr in store.all_expressions():
             assert (expr.nt, expr) not in seen
             seen.add((expr.nt, expr))
         for _ in range(2):
-            for expr in pool.advance():
+            for expr in enum.advance():
                 key = (expr.nt, expr)
                 assert key not in seen
                 seen.add(key)
@@ -82,10 +88,10 @@ class TestSemanticDedup:
         # On inputs x=2 and x=-1, x*x and 2+x coincide... use the paper's
         # example: with those inputs they are identical and merge.
         examples = [Example((2,), 0), Example((-1,), 0)]
-        pool = make_pool(examples=examples)
-        pool.advance()
+        store, enum = make_pool(examples=examples)
+        enum.advance()
         values = {}
-        for entry in pool._entries["e"]:
+        for entry in store._entries["e"]:
             if entry.values is not None:
                 assert entry.values not in values, (
                     f"{entry.expr} duplicates {values[entry.values]}"
@@ -94,12 +100,12 @@ class TestSemanticDedup:
 
     def test_dedup_disabled_keeps_duplicates(self):
         examples = [Example((2,), 0), Example((-1,), 0)]
-        deduped = make_pool(examples=examples)
-        deduped.advance()
-        raw = make_pool(
+        deduped, enum = make_pool(examples=examples)
+        enum.advance()
+        raw, raw_enum = make_pool(
             examples=examples, options=PoolOptions(semantic_dedup=False)
         )
-        raw.advance()
+        raw_enum.advance()
         assert raw.total() > deduped.total()
 
     def test_error_vector_is_a_signature(self):
@@ -110,11 +116,11 @@ class TestSemanticDedup:
         b.fn("e", "Boom", ["e"], lambda a: 1 // 0)
         b.fn("e", "Bang", ["e"], lambda a: [][0])
         dsl = b.build()
-        pool = ComponentPool(dsl, SIG, EXAMPLES)
-        pool.advance()
+        store, enum = make_pool(dsl)
+        enum.advance()
         crashing = [
             e
-            for e in pool.expressions("e")
+            for e in store.expressions("e")
             if str(e).startswith(("Boom", "Bang"))
         ]
         assert len(crashing) == 1
@@ -122,19 +128,19 @@ class TestSemanticDedup:
 
 class TestValueVectors:
     def test_closed_expressions_carry_values(self):
-        pool = make_pool()
-        pool.advance()
-        for entry in pool._entries["e"]:
+        store, enum = make_pool()
+        enum.advance()
+        for entry in store._entries["e"]:
             assert entry.values is not None
             assert len(entry.values) == len(EXAMPLES)
 
     def test_fast_path_matches_full_evaluation(self):
         from repro.core.evaluator import try_run
 
-        pool = make_pool()
-        pool.advance()
-        pool.advance()
-        for entry in pool._entries["e"][:50]:
+        store, enum = make_pool()
+        enum.advance()
+        enum.advance()
+        for entry in store._entries["e"][:50]:
             for example, value in zip(EXAMPLES, entry.values):
                 assert try_run(entry.expr, ("x",), example.args) == value
 
@@ -149,34 +155,34 @@ class TestRecursionShapes:
         return b.build()
 
     def test_recursive_exprs_pooled_without_values(self):
-        pool = ComponentPool(self.recurse_dsl(), SIG, EXAMPLES)
-        pool.advance()
-        pool.advance()
+        store, enum = make_pool(self.recurse_dsl())
+        enum.advance()
+        enum.advance()
         recursive = [
-            e for e in pool.expressions("e") if "recurse" in str(e)
+            e for e in store.expressions("e") if "recurse" in str(e)
         ]
         assert recursive
-        entries = {id(en.expr) for en in pool._entries["e"] if en.values is None}
+        entries = {id(en.expr) for en in store._entries["e"] if en.values is None}
         assert entries  # recursion is exempt from value vectors
 
     def test_constant_arg_recursion_rejected(self):
-        pool = ComponentPool(self.recurse_dsl(), SIG, EXAMPLES)
-        rejected = pool._offer(Recurse((Const(1, INT, "e"),), "e"))
+        store, _ = make_pool(self.recurse_dsl())
+        rejected = store.offer(Recurse((Const(1, INT, "e"),), "e"))
         assert rejected is None
 
 
 class TestBudgets:
     def test_expression_budget_enforced(self):
-        pool = make_pool(budget=Budget(max_expressions=5))
+        store, enum = make_pool(budget=Budget(max_expressions=5))
         for _ in range(3):
-            pool.advance()
-        assert pool.exhausted
-        assert pool.budget.expressions <= 6  # one overshoot charge at most
+            enum.advance()
+        assert store.exhausted
+        assert store.budget.expressions <= 6  # one overshoot charge at most
 
     def test_advance_returns_partial_on_exhaustion(self):
-        pool = make_pool(budget=Budget(max_expressions=30))
-        added = pool.advance()
-        assert pool.exhausted or added
+        store, enum = make_pool(budget=Budget(max_expressions=30))
+        added = enum.advance()
+        assert store.exhausted or added
 
 
 class TestVarExpressions:
@@ -190,28 +196,25 @@ class TestVarExpressions:
         return b.build()
 
     def test_var_atoms_seeded(self):
-        pool = ComponentPool(self.lambda_dsl(), SIG, EXAMPLES)
-        assert any(isinstance(e, Var) for e in pool.expressions("e"))
+        store, _ = make_pool(self.lambda_dsl())
+        assert any(isinstance(e, Var) for e in store.expressions("e"))
 
     def test_var_size_cap(self):
-        pool = ComponentPool(
-            self.lambda_dsl(),
-            SIG,
-            EXAMPLES,
-            options=PoolOptions(max_var_expr_size=1),
+        store, enum = make_pool(
+            self.lambda_dsl(), options=PoolOptions(max_var_expr_size=1)
         )
-        pool.advance()
+        enum.advance()
         from repro.core.expr import free_vars
 
-        for expr in pool.expressions("e"):
+        for expr in store.expressions("e"):
             if free_vars(expr):
                 assert expr.size <= 1
 
     def test_lambda_bodies_require_var_use(self):
-        pool = ComponentPool(self.lambda_dsl(), SIG, EXAMPLES)
-        pool.advance()
-        pool.advance()
-        applies = [e for e in pool.expressions("e") if str(e).startswith("Apply")]
+        store, enum = make_pool(self.lambda_dsl())
+        enum.advance()
+        enum.advance()
+        applies = [e for e in store.expressions("e") if str(e).startswith("Apply")]
         assert applies
         for expr in applies:
             lam = expr.args[0]
@@ -223,11 +226,11 @@ class TestVarExpressions:
 
 class TestNoDslMode:
     def test_type_directed_generation(self):
-        pool = make_pool(options=PoolOptions(use_dsl=False))
-        pool.advance()
-        rendered = {str(e) for e in pool.all_expressions()}
+        store, enum = make_pool(options=PoolOptions(use_dsl=False))
+        enum.advance()
+        rendered = {str(e) for e in store.all_expressions()}
         assert "Add(x, x)" in rendered or "Mul(x, x)" in rendered
 
     def test_pseudo_nonterminals_by_type(self):
-        pool = make_pool(options=PoolOptions(use_dsl=False))
-        assert pool.expressions("τ:int")
+        store, _ = make_pool(options=PoolOptions(use_dsl=False))
+        assert store.expressions("τ:int")

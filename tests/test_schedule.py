@@ -1,14 +1,9 @@
 """Differential and unit tests for example scheduling (engine.schedule).
 
-The correctness bar for all-admitting schedulers is strict: with no
-timeout signal, an ``adaptive`` run must synthesize *byte-identical*
-final programs to ``fifo`` — across all four paper domains, in both
-enum modes, cold (pool rebuilt per DBS call) and warm (persistent
-engine). The ``representative`` scheduler is held to a different
-contract: it may leave satisfied examples out of the DBS constraint
-set, but every skip must be verified against the final program and a
-failed verification must re-admit the failing suffix (binary-searched)
-until the program satisfies the full sequence.
+The correctness bar is strict: with no timeout signal, an ``adaptive``
+run must synthesize *byte-identical* final programs to ``fifo`` —
+across all four paper domains, in both enum modes, cold (pool rebuilt
+per DBS call) and warm (persistent engine).
 
 Also covered here: the session-identity rules for ``TdsOptions.schedule``
 (None ≡ "fifo" ≡ the ``REPRO_TDS_SCHEDULE`` env value), SessionCache
@@ -27,12 +22,9 @@ from repro.core.engine.keys import options_fingerprint
 from repro.core.engine.schedule import (
     C_DEFERRED,
     C_RETRIED,
-    C_SKIPPED,
-    C_VERIFIED,
     SCHEDULERS,
     AdaptiveScheduler,
     FifoScheduler,
-    RepresentativeScheduler,
     SchedulerRegistry,
     resolve_schedule,
 )
@@ -70,13 +62,10 @@ def _programs(result):
 # -- registry and name resolution --------------------------------------
 
 
-def test_registry_ships_three_schedulers():
-    assert SCHEDULERS.names() == ["adaptive", "fifo", "representative"]
+def test_registry_ships_two_schedulers():
+    assert SCHEDULERS.names() == ["adaptive", "fifo"]
     assert isinstance(SCHEDULERS.create("fifo"), FifoScheduler)
     assert isinstance(SCHEDULERS.create("adaptive"), AdaptiveScheduler)
-    assert isinstance(
-        SCHEDULERS.create("representative"), RepresentativeScheduler
-    )
     with pytest.raises(KeyError):
         SCHEDULERS.get("nope")
 
@@ -96,10 +85,17 @@ def test_resolve_schedule_env_fallback(monkeypatch):
     monkeypatch.delenv("REPRO_TDS_SCHEDULE", raising=False)
     assert resolve_schedule(None) == "fifo"
     assert resolve_schedule("adaptive") == "adaptive"
-    monkeypatch.setenv("REPRO_TDS_SCHEDULE", "representative")
-    assert resolve_schedule(None) == "representative"
+    monkeypatch.setenv("REPRO_TDS_SCHEDULE", "adaptive")
+    assert resolve_schedule(None) == "adaptive"
     # An explicit option always beats the environment.
     assert resolve_schedule("fifo") == "fifo"
+    # An unregistered environment value falls back to fifo instead of
+    # failing the first feed() with a KeyError.
+    for bogus in ("bogus", "representative"):
+        monkeypatch.setenv("REPRO_TDS_SCHEDULE", bogus)
+        assert resolve_schedule(None) == "fifo"
+        session = _max_session(None)
+        assert session.feed(Example((4, 1), 4)).action == "synthesized"
 
 
 def test_schedule_in_session_identity(monkeypatch):
@@ -181,80 +177,6 @@ def _max_session(schedule, timeout_s=None):
         budget_factory=lambda: Budget(max_seconds=10, max_expressions=60_000),
         options=TdsOptions(schedule=schedule, timeout_s=timeout_s),
     )
-
-
-# -- representative: skip, verify, binary-search re-admission ----------
-
-
-def test_representative_skips_then_readmits_failing_suffix():
-    session = _max_session("representative")
-    # f = max(x, y). After (1,1)->1 the program satisfies (5,2)->5 (it
-    # is x-shaped), so example 1 is skipped; admitting (2,7)->7 flips
-    # the program to a shape that fails the skip, and wrapup must
-    # re-admit it.
-    examples = [
-        Example((1, 1), 1),
-        Example((5, 2), 5),
-        Example((2, 7), 7),
-    ]
-    before = (C_SKIPPED.value, C_RETRIED.value, C_VERIFIED.value)
-    for example in examples:
-        step = session.feed(example)
-        assert step.action == "queued"
-    result = session.finalize()
-    assert result.success
-    assert session.satisfies_all()
-    actions = [(s.example_index, s.action) for s in session.steps]
-    assert (1, "skipped") in actions
-    # The failed verification admitted example 1 after all: it appears
-    # in the admitted order behind the examples that were never skipped.
-    assert session._admitted == [0, 2, 1]
-    assert session._skipped == []
-    assert C_SKIPPED.value - before[0] >= 1
-    assert C_RETRIED.value - before[1] >= 1
-    assert C_VERIFIED.value - before[2] >= 1
-
-
-def test_representative_binary_search_keeps_clean_prefix():
-    session = _max_session("representative")
-    # Admit one example so the program is x-shaped, then hand wrapup a
-    # skipped list whose prefix the program satisfies and whose suffix
-    # it fails: only the suffix may be re-admitted.
-    session.feed(Example((2, 1), 2))
-    session.drain()
-    program = session.program
-    assert program is not None
-    extras = [
-        Example((3, 0), 3),   # satisfied by an x-shaped program
-        Example((4, 1), 4),   # satisfied
-        Example((0, 5), 5),   # fails: first failing position
-        Example((1, 9), 9),   # fails
-    ]
-    base = len(session.examples)
-    session.examples.extend(extras)
-    session._skipped.extend(range(base, base + len(extras)))
-    assert session._satisfies(program, extras[0])
-    assert session._satisfies(program, extras[1])
-    assert not session._satisfies(program, extras[2])
-    result = session.finalize()
-    assert result.success
-    # The clean prefix stayed skipped (re-verified against the final
-    # program); the failing suffix was admitted in order.
-    assert session._skipped == [base, base + 1]
-    assert session._admitted == [0, base + 2, base + 3]
-    assert session.satisfies_all()
-
-
-def test_representative_verified_skips_stay_skipped():
-    session = _max_session("representative")
-    # A duplicate example is always satisfied by the program the first
-    # copy produced: it must be skipped and never admitted.
-    session.feed(Example((4, 1), 4))
-    session.feed(Example((4, 1), 4))
-    result = session.finalize()
-    assert result.success
-    assert session._admitted == [0]
-    assert session._skipped == [1]
 
 
 # -- adaptive: deferral, retry, ordering, deadlines --------------------
@@ -412,7 +334,7 @@ def test_session_cache_keys_schedulers_apart():
         other = run_lasy(
             parse_lasy(SOURCE),
             budget_factory=budget,
-            options=TdsOptions(schedule="representative"),
+            options=TdsOptions(schedule="adaptive"),
             session_cache=cache,
         )
         # A different scheduler is a different constraint-set policy:
