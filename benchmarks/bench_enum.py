@@ -83,6 +83,7 @@ def _cands_per_sec(mode):
     from repro.core.dbs import DbsStats
     from repro.core.dsl import Signature
     from repro.core.engine import Enumerator, PoolStore
+    from repro.core.engine.enumerator import set_enum_mode
     from repro.core.types import INT, STRING
 
     signature = Signature("f", (("s", STRING), ("n", INT)), STRING)
@@ -99,12 +100,16 @@ def _cands_per_sec(mode):
             budget=budget,
             metrics=DbsStats().registry,
         )
-        enumerator = Enumerator(pool, enum_mode=mode)
-        enumerator.seed([])
-        start = perf_counter()
-        for _ in range(GENERATIONS):
-            enumerator.advance()
-        elapsed = perf_counter() - start
+        enumerator = Enumerator(pool)
+        previous = set_enum_mode(mode)
+        try:
+            enumerator.seed([])
+            start = perf_counter()
+            for _ in range(GENERATIONS):
+                enumerator.advance()
+            elapsed = perf_counter() - start
+        finally:
+            set_enum_mode(previous)
         candidates = budget.expressions
         rate = candidates / elapsed
         if rate > best:
@@ -131,8 +136,7 @@ def bench_e2e_strings():
     import gc
 
     from repro.core.budget import Budget
-    from repro.core.dbs import DbsOptions
-    from repro.core.tds import TdsOptions
+    from repro.core.engine.enumerator import set_enum_mode
     from repro.suites import ALL_SUITES
 
     benchmarks = [
@@ -145,15 +149,18 @@ def bench_e2e_strings():
     # a warm-up rep (discarded) pays one-time imports and compilation.
     for rep in range(E2E_REPS + 1):
         for mode in ("classic", "batched"):
-            options = TdsOptions(dbs=DbsOptions(enum_mode=mode))
             gc.collect()
-            start = perf_counter()
-            for benchmark in benchmarks:
-                result = benchmark.run(budget_factory=budget, options=options)
-                assert result.success, (
-                    f"{benchmark.name} failed in {mode} mode"
-                )
-            elapsed = perf_counter() - start
+            previous = set_enum_mode(mode)
+            try:
+                start = perf_counter()
+                for benchmark in benchmarks:
+                    result = benchmark.run(budget_factory=budget)
+                    assert result.success, (
+                        f"{benchmark.name} failed in {mode} mode"
+                    )
+                elapsed = perf_counter() - start
+            finally:
+                set_enum_mode(previous)
             if rep:
                 best[mode] = min(best[mode], elapsed)
     classic, batched = best["classic"], best["batched"]

@@ -117,17 +117,9 @@ def cmd_synthesize(args) -> int:
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
     program = parse_lasy(source)
-    from .core.dbs import DbsOptions
     from .core.tds import TdsOptions
 
     options = TdsOptions(
-        # One synthesis can't fan out over benchmarks; what it can do is
-        # run loop strategies on a thread beside enumeration (§5.3's
-        # "concurrently with the DBS algorithm").
-        dbs=DbsOptions(
-            concurrent_loops=args.jobs > 1,
-            enum_mode=getattr(args, "enum", None),
-        ),
         reuse_pool=not args.no_pool_reuse,
         schedule=getattr(args, "schedule", None),
     )
@@ -476,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes for experiment suites (traces and "
-        "metrics are merged back); for synthesize, N>1 runs loop "
-        "strategies concurrently with enumeration (default 1)",
+        "metrics are merged back; default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

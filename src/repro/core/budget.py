@@ -22,7 +22,7 @@ Two layers of wall-clock control coexist:
   guard evaluations).
 
 A :class:`CancelToken` rides on the deadline so an outside actor (a
-suite driver, the enumeration thread racing the loop strategies, a
+suite driver, the service dropping a disconnected client's request, a
 test harness) can truncate a run the same way the clock does. Checks
 are cooperative — nothing is preempted mid-evaluation — which keeps
 the partial component pool consistent for warm reuse after truncation.
@@ -50,11 +50,7 @@ class Cancelled(BudgetExhausted):
 
 class CancelToken:
     """Cooperative cancellation: set once (with a reason), checked often.
-
-    Thread-safe; the ``set``/``is_set`` aliases keep it a drop-in for the
-    ``threading.Event`` the concurrent loop-strategy thread historically
-    used.
-    """
+    Thread-safe."""
 
     __slots__ = ("_event", "reason")
 
@@ -65,13 +61,6 @@ class CancelToken:
     def cancel(self, reason: str = "cancelled") -> None:
         self.reason = reason
         self._event.set()
-
-    # threading.Event compatibility
-    def set(self) -> None:
-        self.cancel()
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
 
     @property
     def cancelled(self) -> bool:
@@ -128,7 +117,7 @@ class Deadline:
     def why_expired(self) -> Optional[str]:
         """The truncation reason, or None while the deadline holds."""
         for token in self.tokens:
-            if token.is_set():
+            if token.cancelled:
                 return token.reason
         if self.expires_at is not None and time.monotonic() > self.expires_at:
             return "deadline"
@@ -139,7 +128,7 @@ class Deadline:
 
     def check(self) -> None:
         for token in self.tokens:
-            if token.is_set():
+            if token.cancelled:
                 raise Cancelled(token.reason)
         if self.expires_at is not None and time.monotonic() > self.expires_at:
             raise DeadlineExceeded("hard deadline exceeded")

@@ -67,10 +67,6 @@ def hole_type(dsl: Dsl, node: Expr) -> Type:
     return Type("any")
 
 
-# Backward-compatible alias (pre-engine callers).
-_hole_type = hole_type
-
-
 def _removable(node: Expr, parent: Optional[Expr]) -> bool:
     """Whether a subexpression is a sensible removal point.
 
@@ -112,7 +108,7 @@ def contexts_of(program: Expr, dsl: Dsl) -> List[Context]:
                     root=holed,
                     path=path,
                     hole_nt=node.nt,
-                    hole_type=_hole_type(dsl, node),
+                    hole_type=hole_type(dsl, node),
                 )
             )
     return contexts

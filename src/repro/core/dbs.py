@@ -4,12 +4,10 @@ One DBS invocation searches for a program satisfying *all* given examples
 by plugging grammar-generated expressions into the supplied contexts.
 The search interleaves, per Algorithm 2:
 
-1. startup strategies (the loop strategies) — tried up front by default
-   (cheap relative to enumeration), or, with
-   ``DbsOptions.concurrent_loops`` (what the CLI's ``--jobs > 1``
-   selects for single syntheses), on a helper thread that runs alongside
-   enumeration exactly as the paper describes; the concurrent variant is
-   traced under a dedicated ``dbs.loops.concurrent`` span;
+1. startup strategies (the loop strategies) — tried serially up front,
+   where the paper runs them on a thread beside enumeration (§5.3;
+   under CPython's interpreter lock a thread only competes with
+   enumeration, see docs/performance.md);
 2. plugging every (context, expression) pair and testing the result;
 3. the round strategies after each expression generation — composition
    strategies (§5.4) and conditional synthesis from the recorded T(p)
@@ -29,7 +27,6 @@ exhausted.
 
 from __future__ import annotations
 
-import io
 import threading
 import time
 from dataclasses import dataclass
@@ -37,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..obs.metrics import Registry
 from ..obs.trace import get_tracer
-from .budget import Budget, BudgetExhausted, CancelToken, Deadline, default_budget
+from .budget import Budget, BudgetExhausted, Deadline, default_budget
 from .contexts import Context, trivial_context
 from .dsl import Dsl, Example, Signature
 from .engine.session import SynthesisSession
@@ -53,9 +50,6 @@ class DbsOptions:
     semantic_dedup: bool = True
     enable_conditionals: bool = True
     enable_loops: bool = True
-    # Run loop strategies on a helper thread beside enumeration (the
-    # paper's concurrent-thread model) instead of serially up front.
-    concurrent_loops: bool = False
     max_generations: int = 24
     evaluation_fuel: int = 60_000
     max_recursion_depth: int = 40
@@ -64,10 +58,6 @@ class DbsOptions:
     # with a structured SynthesisTimeout within one cooperative check
     # interval of the wall (see docs/robustness.md). None/0 = off.
     timeout_s: Optional[float] = None
-    # Enumeration path: "batched" (value-vector candidates, the
-    # default), "classic" (per-expression reference pipeline), or None
-    # to defer to the process-wide REPRO_ENUM switch.
-    enum_mode: Optional[str] = None
 
 
 class _Metric:
@@ -285,10 +275,8 @@ def dbs(
 
 # Depth of dbs() calls on the current thread's stack; loop-body
 # sub-syntheses run nested (their spawned budgets are excluded from
-# report totals). Thread-local so a concurrent loop-strategy thread
-# can't corrupt the main thread's depth — the thread seeds its own
-# depth at 1, since its sub-syntheses are logically nested in the run
-# that spawned it.
+# report totals). Thread-local because the service runs syntheses on
+# several worker threads at once.
 _RUN_DEPTH = threading.local()
 
 
@@ -319,14 +307,10 @@ def _run_dbs(
             lasy_fns=dict(lasy_fns or {}),
             lasy_signatures=dict(lasy_signatures or {}),
         )
-    loop_state: Optional[_ConcurrentLoops] = None
 
     def finish(
         program: Optional[Expr], reason: Optional[str] = None
     ) -> DbsResult:
-        if loop_state is not None:
-            program = loop_state.finish(program, tracer)
-        session.cancel = None
         stats.elapsed = time.monotonic() - start_time
         stats.expressions = budget.expressions
         timeout = None
@@ -360,35 +344,14 @@ def _run_dbs(
         pool = session.pool
         registry = session.registry
 
-        # 1. Startup strategies (Algorithm 2, line 1): serially up
-        # front, or on a helper thread racing enumeration (§5.3's
-        # concurrent model) when options.concurrent_loops.
-        if registry.for_stage("startup"):
-            if options.concurrent_loops:
-
-                def run_startup(cancel) -> Optional[Expr]:
-                    # The helper thread installed its own tracer; the
-                    # plugins pick it up via get_tracer().
-                    session.cancel = cancel
-                    return registry.run(
-                        "startup", session, budget, get_tracer()
-                    )
-
-                loop_state = _ConcurrentLoops(
-                    parent_traced=tracer.enabled, runner=run_startup
-                ).start()
-            else:
-                program = registry.run("startup", session, budget, tracer)
-                if program is not None:
-                    return finish(program)
+        # 1. Startup strategies (Algorithm 2, line 1), serially up front.
+        program = registry.run("startup", session, budget, tracer)
+        if program is not None:
+            return finish(program)
 
         last_size = -1
         batches = iter([pool.iter_all()])
         while True:
-            if loop_state is not None and loop_state.program is not None:
-                # The loop-strategy thread won the race; finish() joins
-                # it and returns its program.
-                return finish(None)
             program = None
             for pending in batches:
                 with tracer.span("dbs.test") as test_span:
@@ -443,82 +406,3 @@ def _run_dbs(
         pass
     return finish(None)
 
-
-class _ConcurrentLoops:
-    """Loop strategies on a helper thread beside enumeration (§5.3).
-
-    The paper runs loop strategies "concurrently with the DBS
-    algorithm"; this is that thread. Isolation model:
-
-    * the thread installs its own tracer via ``set_thread_tracer`` —
-      an in-memory ``JsonlTracer`` when the parent traces, else the
-      null tracer — because tracer span stacks are not thread-safe;
-      the buffered records are spliced into the parent's stream on
-      join (``absorb_shard``), re-parented under the open ``dbs`` span;
-    * the thread seeds its ``_RUN_DEPTH`` at 1, so its sub-syntheses
-      report as nested runs just like the serial path;
-    * the shared ``Budget`` and registry counters take concurrent plain
-      ``+=`` increments — benign under the GIL (worst case a slightly
-      stale read), and the budget's exhaustion check is conservative.
-
-    Cancellation is cooperative: enumeration finding a program first
-    sets ``cancel``, which loop strategies check between candidate
-    sub-syntheses, so the join in :meth:`finish` is bounded by one
-    sub-DBS budget.
-    """
-
-    def __init__(self, parent_traced: bool, runner) -> None:
-        self.cancel = CancelToken()
-        self.program: Optional[Expr] = None
-        self.error: Optional[BaseException] = None
-        self.seconds = 0.0
-        self._buffer = io.StringIO() if parent_traced else None
-        self._runner = runner
-        self._thread = threading.Thread(
-            target=self._run, name="dbs-loop-strategies", daemon=True
-        )
-
-    def start(self) -> "_ConcurrentLoops":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        from ..obs.trace import (
-            NULL_TRACER,
-            JsonlTracer,
-            set_thread_tracer,
-        )
-
-        tracer = (
-            JsonlTracer(self._buffer)
-            if self._buffer is not None
-            else NULL_TRACER
-        )
-        set_thread_tracer(tracer)
-        _RUN_DEPTH.value = 1
-        start = time.monotonic()
-        try:
-            with tracer.span("dbs.loops.concurrent") as span:
-                program = self._runner(self.cancel)
-                span.set(solved=program is not None)
-                self.program = program
-        except BudgetExhausted:
-            pass
-        except BaseException as exc:  # re-raised on the main thread
-            self.error = exc
-        finally:
-            self.seconds = time.monotonic() - start
-            set_thread_tracer(None)
-
-    def finish(self, program: Optional[Expr], tracer) -> Optional[Expr]:
-        """Join the thread, splice its trace, and pick the winner:
-        enumeration's program when it found one, else the thread's."""
-        self.cancel.cancel("cancelled: enumeration finished first")
-        self._thread.join()
-        if self._buffer is not None:
-            absorb = getattr(tracer, "absorb_shard", None)
-            if absorb is not None:
-                absorb(self._buffer.getvalue().splitlines())
-        if self.error is not None:
-            raise self.error
-        return program if program is not None else self.program

@@ -54,8 +54,9 @@ from ..dsl import Example
 from .keys import SessionKey, example_fingerprints
 
 # Journal records are versioned so a future layout change can skip (not
-# crash on) old blobs.
-_JOURNAL_VERSION = 1
+# crash on) old blobs. Version 2: the options fingerprint in every key
+# lost four fields, so no new request can hit a version-1 session.
+_JOURNAL_VERSION = 2
 
 
 class SessionCache:

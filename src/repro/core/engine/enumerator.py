@@ -109,12 +109,8 @@ def _generation_productions(dsl) -> List[Production]:
 class Enumerator:
     """Generates expression generations into a borrowed store."""
 
-    def __init__(self, store: PoolStore, enum_mode: Optional[str] = None):
+    def __init__(self, store: PoolStore):
         self.store = store
-        # Per-run override (DbsOptions.enum_mode, rebound by the session
-        # each begin_run); None defers to the process-wide REPRO_ENUM
-        # default.
-        self.enum_mode = enum_mode
         # Argument-slot generation splits, valid for one advance only
         # (see _split_candidates).
         self._slot_cache: Dict[Any, Tuple] = {}
@@ -233,7 +229,7 @@ class Enumerator:
             return
         store.exhausted = False
         tracer = get_tracer()
-        batched = self._resolve_mode() == "batched"
+        batched = get_enum_mode() == "batched"
         self._fast_sampling = batched
         self._slot_cache.clear()
         store.clear_partitions()
@@ -271,12 +267,6 @@ class Enumerator:
             return
         store.incomplete_generation = False
         store.last_generation_redone = redone
-
-    def _resolve_mode(self) -> str:
-        mode = self.enum_mode or get_enum_mode()
-        if mode not in ("batched", "classic"):
-            raise ValueError(f"unknown enum mode {mode!r}")
-        return mode
 
     def _batchable(self, prod: Production) -> bool:
         """Whether a production can take the batched value-vector path:

@@ -11,14 +11,13 @@ satisfying every example, or None. Registration metadata drives the
 DBS driver:
 
 * ``stage`` — ``"startup"`` plugins run once before enumeration (the
-  loop strategies; serially, or on the concurrent helper thread when
-  ``DbsOptions.concurrent_loops``); ``"round"`` plugins run after each
-  generation, in ``order``.
+  loop strategies); ``"round"`` plugins run after each generation, in
+  ``order``.
 * ``final`` — round plugins also given one last pass when the budget
   dies mid-generation (a solution assembled from already-enumerated
   pieces should not be lost to the enumeration cutoff).
-* ``span`` — a tracer span name the driver wraps serial startup runs
-  in (round plugins manage their own spans).
+* ``span`` — a tracer span name the driver wraps startup runs in
+  (round plugins manage their own spans).
 
 Custom registries can be passed to :class:`~.session.SynthesisSession`
 — e.g. the ablation experiments could drop a plugin instead of
@@ -106,15 +105,14 @@ class StrategyRegistry:
     ) -> Optional[Expr]:
         """Run a stage's plugins in order; return the first program found.
 
-        This is the single driver both DBS paths (serial and the
-        concurrent loop-strategy thread) go through, so per-strategy
-        cost accounting lives here and nowhere else: when the run
-        records detailed metrics, each plugin call lands in the
+        This is the single driver every DBS stage goes through, so
+        per-strategy cost accounting lives here and nowhere else: when
+        the run records detailed metrics, each plugin call lands in the
         ``prof.strategy.*`` labeled instruments (wall seconds, runs,
         solves) that the ``report-trace --hotspots`` strategy table
-        aggregates. Serial startup plugins are additionally wrapped in
-        their registered span (``entry.span`` or
-        ``dbs.strategy.<name>``); round plugins manage their own spans.
+        aggregates. Startup plugins are additionally wrapped in their
+        registered span (``entry.span`` or ``dbs.strategy.<name>``);
+        round plugins manage their own spans.
         """
         registry = session.stats.registry
         detailed = registry.detailed
@@ -152,7 +150,7 @@ class StrategyRegistry:
 def loops_plugin(session, budget, tracer) -> Optional[Expr]:
     """§5.3 loop strategies: hypothesize loop structure from the
     examples, synthesize bodies via sub-DBS calls, test the assemblies."""
-    del tracer  # run_loop_strategies uses the thread's current tracer
+    del tracer  # run_loop_strategies opens its spans via get_tracer()
     options, dsl = session.options, session.dsl
     if not options.enable_loops or not dsl.loops:
         return None
@@ -164,15 +162,12 @@ def loops_plugin(session, budget, tracer) -> Optional[Expr]:
         budget,
         session.lasy_fns,
         session.lasy_signatures,
-        cancel=session.cancel,
     )
     candidates = run_loop_strategies(
         dsl, session.signature, session.examples, synthesize_body
     )
     session.stats.loop_candidates += len(candidates)
     for candidate in candidates:
-        if session.cancelled():
-            return None
         if session.tester.passes_all(candidate.program):
             return candidate.program
     return None
@@ -188,8 +183,6 @@ def composition_plugin(session, budget, tracer) -> Optional[Expr]:
         tried = 0
         try:
             for strategy in session.dsl.composition_strategies:
-                if session.cancelled():
-                    return None
                 budget.check_deadline()
                 candidates = strategy(
                     pool, session.examples, session.signature, session.dsl

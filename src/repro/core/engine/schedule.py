@@ -6,9 +6,8 @@ TDS (Algorithm 1) consumes its example sequence in caller order, and
 example whose DBS iteration times out (~5s of a 60k-expression search)
 dwarfs every other iteration combined (~0.06s). The §6.2 ordering study
 (F7/F8) already measured the order sensitivity. This module turns that
-observation into a pluggable policy layer, mirroring
-:class:`~.registry.StrategyRegistry`'s plugin shape: named entries, a
-default registry, ``register`` for extensions.
+observation into a small policy layer: :data:`SCHEDULERS` maps each
+scheduler name to its class.
 
 An :class:`ExampleScheduler` never touches the pool or enumerator — it
 only decides, per TDS step:
@@ -53,8 +52,7 @@ the trace report attributes to its own ``schedule`` phase.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Type, TYPE_CHECKING
 
 from ...obs import metrics as obs_metrics
 
@@ -74,13 +72,13 @@ C_RETRIED = _METRICS.counter("schedule.retried")
 def resolve_schedule(name: Optional[str]) -> str:
     """The effective scheduler name: explicit option, else the
     ``REPRO_TDS_SCHEDULE`` environment switch, else ``fifo``. An
-    environment value naming no registered scheduler falls back to
+    environment value naming no known scheduler falls back to
     ``fifo``, as unknown ``REPRO_ENUM``/``REPRO_EVAL`` values fall back
     to their defaults."""
     if name:
         return name
     env = os.environ.get(ENV_SCHEDULE, "").strip()
-    if env in SCHEDULERS.names():
+    if env in SCHEDULERS:
         return env
     return DEFAULT_SCHEDULE
 
@@ -94,7 +92,7 @@ class ExampleScheduler:
     session, not here.
     """
 
-    #: registry name (also the ``TdsOptions.schedule`` value)
+    #: key in :data:`SCHEDULERS` (also the ``TdsOptions.schedule`` value)
     name = "fifo"
     #: True: ``feed`` admits immediately, preserving the historical
     #: one-example-at-a-time behavior. False: examples queue and the
@@ -195,68 +193,9 @@ class AdaptiveScheduler(ExampleScheduler):
         return [session._retry_step(deferred[-1])]
 
 
-@dataclass(frozen=True)
-class SchedulerEntry:
-    """One registered scheduler (mirrors ``StrategyEntry``)."""
-
-    name: str
-    factory: Callable[[], ExampleScheduler]
-    description: str = ""
-
-
-class SchedulerRegistry:
-    """Named scheduler plugins, same shape as ``StrategyRegistry``."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, SchedulerEntry] = {}
-
-    def register(
-        self,
-        name: str,
-        factory: Callable[[], ExampleScheduler],
-        *,
-        description: str = "",
-        replace: bool = False,
-    ) -> SchedulerEntry:
-        if name in self._entries and not replace:
-            raise ValueError(f"scheduler {name!r} already registered")
-        entry = SchedulerEntry(name=name, factory=factory, description=description)
-        self._entries[name] = entry
-        return entry
-
-    def unregister(self, name: str) -> None:
-        self._entries.pop(name, None)
-
-    def names(self) -> List[str]:
-        return sorted(self._entries)
-
-    def get(self, name: str) -> SchedulerEntry:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown scheduler {name!r}; registered: {self.names()}"
-            ) from None
-
-    def create(self, name: str) -> ExampleScheduler:
-        return self.get(name).factory()
-
-
-def default_schedulers() -> SchedulerRegistry:
-    registry = SchedulerRegistry()
-    registry.register(
-        "fifo",
-        FifoScheduler,
-        description="caller order, immediate admission (the baseline)",
-    )
-    registry.register(
-        "adaptive",
-        AdaptiveScheduler,
-        description="cheap-first order, timeout deferral, escalating "
-        "per-iteration deadlines",
-    )
-    return registry
-
-
-#: The process-default registry, consulted by ``TdsSession``.
-SCHEDULERS = default_schedulers()
+#: Scheduler name (``TdsOptions.schedule``) -> class; ``TdsSession``
+#: instantiates one per session.
+SCHEDULERS: Dict[str, Type[ExampleScheduler]] = {
+    "fifo": FifoScheduler,
+    "adaptive": AdaptiveScheduler,
+}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..budget import BudgetExhausted, CancelToken
+from ..budget import BudgetExhausted
 from ..conditionals import ConditionalStore, guard_nts
 from ..contexts import Context, hole_type
 from ..dsl import Dsl, Example, Signature
@@ -121,7 +121,6 @@ class SynthesisSession:
         self.max_branches = 1
         self.previous_program: Optional[Expr] = None
         self.last_store_size = (-1, -1)
-        self.cancel: Optional[CancelToken] = None
         # A prefix permutation discovered by _extension_suffix, applied
         # by _extend_warm after the pool is re-bound (so the reorder's
         # dedup counters land on the current run's registry).
@@ -151,7 +150,7 @@ class SynthesisSession:
     def suspend(self) -> None:
         """Detach the session from its run so it can sit in a cache:
         per-run references (budget, registry-backed stats, tracer,
-        tester, conditional store, cancel token) are released — a warm
+        tester, conditional store) are released — a warm
         cached session must not pin a finished request's objects. The
         warm state (pool entries, enumerator generation, grids) is kept;
         the next :meth:`begin_run` reattaches everything."""
@@ -160,7 +159,6 @@ class SynthesisSession:
         self.tracer = None
         self.tester = None
         self.store = None
-        self.cancel = None
         self.contexts = []
         self.acceptable = {}
         self.previous_program = None
@@ -176,7 +174,7 @@ class SynthesisSession:
         # deadlines) and must not travel; the pool and enumerator have
         # their own __getstate__ that preserves the warm search state.
         state = self.__dict__.copy()
-        for name in ("budget", "stats", "tracer", "tester", "store", "cancel"):
+        for name in ("budget", "stats", "tracer", "tester", "store"):
             state[name] = None
         state["contexts"] = []
         state["acceptable"] = {}
@@ -215,7 +213,6 @@ class SynthesisSession:
         self.tracer = tracer
         self.previous_program = previous_program
         self.max_branches = max_branches
-        self.cancel = None
         self.last_store_size = (-1, -1)
         self._pending_reorder = None
 
@@ -243,11 +240,6 @@ class SynthesisSession:
         assert pool is not None
         pool.previous_program = previous_program
         pool.guard_sets = []
-        # Per-run enumeration-mode override (DbsOptions.enum_mode); the
-        # warm path reuses the enumerator across runs, so rebind every
-        # begin_run rather than only at construction.
-        assert self.enumerator is not None
-        self.enumerator.enum_mode = getattr(options, "enum_mode", None)
 
         self.store = ConditionalStore(len(self.examples))
         self.guard_nts = guard_nts(self.dsl)
@@ -354,9 +346,6 @@ class SynthesisSession:
         report["refreshed"] = refreshed
         for key in REUSE_KEYS:
             self.reuse_totals[key] += report.get(key, 0)
-
-    def cancelled(self) -> bool:
-        return self.cancel is not None and self.cancel.is_set()
 
     # -- candidate testing ---------------------------------------------
 

@@ -50,13 +50,12 @@ def make_body_synthesizer(
     budget,
     lasy_fns,
     lasy_signatures,
-    cancel=None,
 ) -> SubSynthesizer:
     """The standard :data:`SubSynthesizer`: a nested DBS call over a
     fresh trivial context at the body's start nonterminal, on a spawned
     slice of the parent budget, with loop strategies disabled (no nested
-    loops). ``cancel`` is the concurrent-loops cooperative-cancellation
-    event; checked between candidate sub-syntheses."""
+    loops). The spawned budget shares the parent's hard deadline and
+    cancel tokens, so a cancelled request stops its loop bodies too."""
     from dataclasses import replace
 
     def synthesize_body(
@@ -66,17 +65,13 @@ def make_body_synthesizer(
         from .dbs import dbs  # deferred: loops is imported by dbs
         from .expr import Hole
 
-        if cancel is not None and cancel.is_set():
-            return None
         sub_context = Context(
             root=Hole(start_nt),
             path=(),
             hole_nt=start_nt,
             hole_type=dsl.type_of(start_nt),
         )
-        sub_options = replace(
-            options, enable_loops=False, concurrent_loops=False
-        )
+        sub_options = replace(options, enable_loops=False)
         result = dbs(
             contexts=[sub_context],
             examples=body_examples,

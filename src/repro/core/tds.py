@@ -29,7 +29,7 @@ are discovered; :func:`tds` is the batch wrapper.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Mapping, MutableMapping, Optional, Sequence
 
 from ..obs.trace import get_tracer
@@ -49,10 +49,8 @@ class TdsOptions:
 
     use_contexts: bool = True
     use_subexpressions: bool = True
-    prune_unreached: bool = True
     # Angelic context pruning (§7 related work; see repro.core.angelic).
     angelic_pruning: bool = False
-    final_retries: int = 1
     # Carry one component pool across the whole example sequence: each
     # iteration's DBS extends the previous pool by the newly appended
     # example (widening cached value vectors, re-running semantic dedup)
@@ -301,21 +299,17 @@ class TdsSession:
 
         The main loop retries a failed example implicitly when later
         examples arrive; the last examples get the same second chance
-        here (``final_retries`` extra DBS calls with the grown branch
-        budget). Queued examples are drained first, and the scheduler's
-        own wrap-up (deferred-timeout retries) runs before the generic
-        retries."""
+        here (one extra DBS call with the grown branch budget). Queued
+        examples are drained first, and the scheduler's own wrap-up
+        (deferred-timeout retries) runs before the generic retry."""
         if self._pending:
             self.drain()
         self._scheduler().wrapup(self)
-        retries = self.options.final_retries
-        while (
-            retries > 0
-            and self.failures_in_a_row > 0
+        if (
+            self.failures_in_a_row > 0
             and not self._truncated()
             and not self.satisfies_all()
         ):
-            retries -= 1
             self._retry_step(len(self.examples) - 1)
         return TdsResult(
             program=self.program,
@@ -365,7 +359,7 @@ class TdsSession:
 
         name = resolve_schedule(self.options.schedule)
         if self._sched is None or self._sched.name != name:
-            self._sched = SCHEDULERS.create(name)
+            self._sched = SCHEDULERS[name]()
         return self._sched
 
     def _admitted_examples(self) -> List[Example]:
@@ -434,10 +428,9 @@ class TdsSession:
             failing = [
                 e for e in prefix if not self._satisfies(program, e)
             ]
-            if options.prune_unreached:
-                contexts = prune_contexts(
-                    contexts, program, self.signature, failing
-                )
+            contexts = prune_contexts(
+                contexts, program, self.signature, failing
+            )
             if options.angelic_pruning:
                 from .angelic import angelic_prune
 
@@ -506,7 +499,7 @@ class TdsSession:
         if budget_factory is not None:
             self.budget_factory = budget_factory
         if timeout_s is not None:
-            self.options.timeout_s = timeout_s or None
+            self._set_timeout(timeout_s)
             self._deadline = None
             self._deadline_armed = False
         if not self.satisfies_all():
@@ -599,11 +592,16 @@ class TdsSession:
         so ``finalize().elapsed`` measures this request, not the cached
         session's lifetime."""
         if timeout_s is not None:
-            self.options.timeout_s = timeout_s or None
+            self._set_timeout(timeout_s)
         self.cancel = cancel
         self._deadline = None
         self._deadline_armed = False
         self._started = time.monotonic()
+
+    def _set_timeout(self, timeout_s: float) -> None:
+        # Rebind, never mutate: every session of a run, and the caller,
+        # share one TdsOptions object.
+        self.options = replace(self.options, timeout_s=timeout_s or None)
 
     # -- pickling (the parallel runner and the session cache's journal
     #    ship sessions) ---------------------------------------------------
@@ -642,19 +640,6 @@ class TdsSession:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        # Scheduling state was introduced after sessions started being
-        # journaled: a blob from an older cache replays as a plain FIFO
-        # session whose whole example list was admitted in order.
-        self.__dict__.setdefault("_pending", [])
-        self.__dict__.setdefault(
-            "_admitted", list(range(len(self.examples)))
-        )
-        self.__dict__.setdefault("_deferred", [])
-        self.__dict__.setdefault("_hard_fingerprints", set())
-        self.__dict__.setdefault("_example_costs", {})
-        self.__dict__.setdefault("_fps", {})
-        self.__dict__.setdefault("_sched", None)
-        self.__dict__.setdefault("total_dbs_seconds", 0.0)
         # Re-establish the shared-mapping invariant: session, engine,
         # and pool must alias one lasy_fns dict (pickle preserves the
         # sharing within one dump; this guards hand-built states).

@@ -1,8 +1,8 @@
 """Parallel execution for independent synthesis tasks.
 
-The paper runs suite tasks (and loop strategies) concurrently; this
-package provides the fault-tolerant process fan-out the experiment
-drivers use — worker-crash recovery, bounded retry, per-task timeouts,
+Suite tasks are independent, so the experiment drivers fan them out
+over worker processes. This package provides that fault-tolerant
+fan-out — worker-crash recovery, bounded retry, per-task timeouts,
 poison-task quarantine (:mod:`.parallel`), deterministic fault
 injection for testing it (:mod:`.faults`), and checkpoint/resume over
 a durable completed-task journal (:mod:`.checkpoint`) — including the

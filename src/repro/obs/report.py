@@ -47,10 +47,6 @@ _PHASES = {
     "dbs.conditionals": "conditionals",
     "dbs.loops": "loops",
     "dbs.loops.rule": "loops",
-    # Loop strategies racing enumeration on a helper thread
-    # (DbsOptions.concurrent_loops); self-time overlaps enumeration
-    # wall-clock rather than adding to it.
-    "dbs.loops.concurrent": "loops",
 }
 
 

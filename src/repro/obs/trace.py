@@ -251,8 +251,7 @@ class JsonlTracer:
         merged stream stays collision-free), shard-root spans are
         re-parented under this tracer's currently open span, and every
         record is tagged with ``worker`` when given. ``source`` is a
-        shard file path or any iterable of JSONL lines (e.g. an
-        in-memory buffer from a helper thread's tracer). Returns the
+        shard file path or any iterable of JSONL lines. Returns the
         number of records absorbed.
 
         Shard timestamps are relative to the *worker's* epoch and are
@@ -306,10 +305,10 @@ class JsonlTracer:
 # The installed tracer.
 #
 # Process-global with an optional per-thread override: tracers are not
-# thread-safe (LIFO span stack), so a helper thread that must not
-# interleave spans into the main thread's stream — e.g. the concurrent
-# loop-strategy thread in dbs — installs its own (usually Null) tracer
-# with :func:`set_thread_tracer`.
+# thread-safe (LIFO span stack), so a thread that must not interleave
+# spans into the main thread's stream — e.g. the service's worker
+# threads — installs its own (usually Null) tracer with
+# :func:`set_thread_tracer`.
 
 _current: Tracer = NULL_TRACER
 _thread_local = threading.local()

@@ -234,12 +234,12 @@ class SynthesisServer:
         if schedule is not None:
             from ..core.engine.schedule import SCHEDULERS
 
-            if not isinstance(schedule, str) or schedule not in SCHEDULERS.names():
+            if not isinstance(schedule, str) or schedule not in SCHEDULERS:
                 self._c_errors.inc()
                 return error_response(
                     request_id,
                     "bad-request",
-                    f"'schedule' must be one of {SCHEDULERS.names()}",
+                    f"'schedule' must be one of {sorted(SCHEDULERS)}",
                 )
         # Admission control: count a request from acceptance to
         # completion (queued-for-a-worker time included — that wait is

@@ -31,10 +31,8 @@ class TestCancelToken:
     def test_cancel_sets_reason_and_flag(self):
         token = CancelToken()
         assert not token.cancelled
-        assert not token.is_set()
         token.cancel("shutdown requested")
         assert token.cancelled
-        assert token.is_set()
         assert token.reason == "shutdown requested"
 
     def test_check_raises_cancelled(self):
@@ -43,12 +41,6 @@ class TestCancelToken:
         token.cancel("stop")
         with pytest.raises(Cancelled):
             token.check()
-
-    def test_set_compat_alias(self):
-        # loops.py drives tokens through the threading.Event protocol.
-        token = CancelToken()
-        token.set()
-        assert token.is_set()
 
 
 class TestDeadline:
@@ -98,6 +90,19 @@ class TestDeadline:
             budget.check()
         assert budget.exhausted_reason == "expressions"
         assert not budget.hard_expired()
+
+    def test_spawned_budget_sees_the_parents_cancel_token(self):
+        # Loop bodies run on spawned budgets; cancelling the request's
+        # token must stop them too.
+        token = CancelToken()
+        budget = Budget(max_seconds=100.0)
+        budget.add_deadline(Deadline.after(None, token=token))
+        child = budget.spawn(0.35)
+        child.check_deadline()
+        token.cancel("client gone")
+        with pytest.raises(Cancelled):
+            child.check_deadline()
+        assert child.exhausted_reason == "client gone"
 
 
 # -- the DbsOptions.timeout_s acceptance pin --------------------------
@@ -185,19 +190,23 @@ class TestTdsTimeout:
     def test_resume_after_truncation_solves(self):
         dsl = get_domain("pexfun").dsl()
         sig = Signature("f", (("x", INT),), INT)
+        options = TdsOptions(timeout_s=0.002)
         session = TdsSession(
             sig,
             dsl,
             budget_factory=lambda: Budget(
                 max_seconds=20.0, max_expressions=200_000
             ),
-            options=TdsOptions(timeout_s=0.002),
+            options=options,
         )
         examples = [Example((1,), 4), Example((2,), 7), Example((5,), 16)]
         for example in examples:
             session.add_example(example)
         truncated = session.finalize()
         resumed = session.resume(timeout_s=0)
+        # resume re-arms this session only: the caller's options (shared
+        # by every session of a run) keep their wall.
+        assert options.timeout_s == 0.002
         assert resumed.success
         fn = session.current_function()
         for example in examples:

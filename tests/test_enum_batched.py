@@ -9,18 +9,30 @@ the same vectors, the same shadows, and — end to end, across all four
 paper domains — the same synthesized programs.
 """
 
+import contextlib
+
 import pytest
 
 from repro.core.budget import Budget
-from repro.core.dbs import DbsOptions, DbsStats
+from repro.core.dbs import DbsStats
 from repro.core.dsl import DslBuilder, Example, Signature
 from repro.core.engine import Enumerator, PoolStore
 from repro.core.engine.enumerator import get_enum_mode, set_enum_mode
 from repro.core.expr import Call, Param
-from repro.core.tds import TdsOptions
 from repro.core.types import INT, STRING
 
 SIG = Signature("f", (("x", INT),), INT)
+
+
+@contextlib.contextmanager
+def enum_path(mode):
+    """Run the block under one enumeration path (the process-wide
+    ``set_enum_mode`` switch), restoring the previous one after."""
+    previous = set_enum_mode(mode)
+    try:
+        yield
+    finally:
+        set_enum_mode(previous)
 
 
 def _neg(v):
@@ -99,14 +111,15 @@ def pool_state(pool):
 
 def run_generations(dsl, signature, examples, mode, advances=2, extend=None):
     pool, _ = make_pool(dsl, signature, examples)
-    enumerator = Enumerator(pool, enum_mode=mode)
-    enumerator.seed([])
-    for _ in range(advances):
-        enumerator.advance()
-    if extend is not None:
-        pool.extend_examples([extend])
+    enumerator = Enumerator(pool)
+    with enum_path(mode):
         enumerator.seed([])
-        enumerator.advance()
+        for _ in range(advances):
+            enumerator.advance()
+        if extend is not None:
+            pool.extend_examples([extend])
+            enumerator.seed([])
+            enumerator.advance()
     return pool
 
 
@@ -140,10 +153,11 @@ class TestPoolDifferential:
             pool, _ = make_pool(
                 tiny_dsl(), SIG, examples, max_expressions=120
             )
-            enumerator = Enumerator(pool, enum_mode=mode)
-            enumerator.seed([])
-            enumerator.advance()
-            enumerator.advance()
+            enumerator = Enumerator(pool)
+            with enum_path(mode):
+                enumerator.seed([])
+                enumerator.advance()
+                enumerator.advance()
             assert pool.exhausted
             pools.append(pool)
         assert pool_state(pools[0]) == pool_state(pools[1])
@@ -156,10 +170,6 @@ DOMAIN_CASES = [
 ]
 
 
-def _tds_options(mode):
-    return TdsOptions(dbs=DbsOptions(enum_mode=mode))
-
-
 @pytest.mark.parametrize("suite_name, bench_name", DOMAIN_CASES)
 def test_suite_benchmarks_batched_matches_classic(suite_name, bench_name):
     from repro.suites import ALL_SUITES
@@ -168,12 +178,10 @@ def test_suite_benchmarks_batched_matches_classic(suite_name, bench_name):
         b for b in ALL_SUITES[suite_name] if b.name == bench_name
     )
     budget = lambda: Budget(max_seconds=20, max_expressions=250_000)
-    batched = benchmark.run(
-        budget_factory=budget, options=_tds_options("batched")
-    )
-    classic = benchmark.run(
-        budget_factory=budget, options=_tds_options("classic")
-    )
+    with enum_path("batched"):
+        batched = benchmark.run(budget_factory=budget)
+    with enum_path("classic"):
+        classic = benchmark.run(budget_factory=budget)
     assert batched.success and classic.success
     assert str(batched.program) == str(classic.program)
 
@@ -183,8 +191,10 @@ def test_pexfun_puzzle_batched_matches_classic():
 
     puzzle = next(p for p in PUZZLES if p.name == "max-of-two")
     budget = lambda: Budget(max_seconds=8, max_expressions=80_000)
-    batched = play(puzzle, budget_factory=budget, options=_tds_options("batched"))
-    classic = play(puzzle, budget_factory=budget, options=_tds_options("classic"))
+    with enum_path("batched"):
+        batched = play(puzzle, budget_factory=budget)
+    with enum_path("classic"):
+        classic = play(puzzle, budget_factory=budget)
     assert batched.solved and classic.solved
     assert str(batched.program) == str(classic.program)
 
@@ -205,11 +215,6 @@ def test_mode_switch_round_trips():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         set_enum_mode("vectorized")
-    pool, _ = make_pool(tiny_dsl(), SIG, [Example((1,), 0)])
-    enumerator = Enumerator(pool, enum_mode="nope")
-    enumerator.seed([])
-    with pytest.raises(ValueError):
-        enumerator.advance()
 
 
 def test_cli_flag_sets_mode():
@@ -320,9 +325,8 @@ def test_batched_counters_reach_trace_report(tmp_path):
         budget_factory=lambda: Budget(
             max_seconds=15.0, max_expressions=40_000
         ),
-        options=_tds_options("batched"),
     )
-    with tracing(tracer):
+    with tracing(tracer), enum_path("batched"):
         session.add_example(Example((3,), 7))
         session.add_example(Example((5,), 11))
     tracer.flush()

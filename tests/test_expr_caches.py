@@ -37,6 +37,7 @@ from tests.test_compile_differential import (
     _domain_cases,
     _GenFail,
 )
+from tests.test_enum_batched import enum_path
 
 N_EXPRS = 1000
 
@@ -186,10 +187,11 @@ def test_pooled_expressions_have_exact_caches(mode):
         budget=Budget(max_seconds=60.0, max_expressions=6_000),
         metrics=stats.registry,
     )
-    enumerator = Enumerator(pool, enum_mode=mode)
-    enumerator.seed([])
-    enumerator.advance()
-    enumerator.advance()
+    enumerator = Enumerator(pool)
+    with enum_path(mode):
+        enumerator.seed([])
+        enumerator.advance()
+        enumerator.advance()
     indexed = Rewriter(dsl)
     reference = ReferenceRewriter(dsl)
     checked = 0

@@ -32,6 +32,7 @@ from repro.obs import (
     tracing,
 )
 from repro.obs.profile import format_frames
+from tests.test_enum_batched import enum_path
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -708,12 +709,13 @@ class TestAccountingOverhead:
             budget=budget,
             metrics=DbsStats().registry,
         )
-        enumerator = Enumerator(pool, enum_mode="batched")
-        enumerator.seed([])
-        start = time.perf_counter()
-        for _ in range(4):
-            enumerator.advance()
-        elapsed = time.perf_counter() - start
+        enumerator = Enumerator(pool)
+        with enum_path("batched"):
+            enumerator.seed([])
+            start = time.perf_counter()
+            for _ in range(4):
+                enumerator.advance()
+            elapsed = time.perf_counter() - start
         assert budget.expressions > 1000
         return elapsed / budget.expressions
 

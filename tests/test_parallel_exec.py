@@ -125,14 +125,14 @@ class TestAbsorbShard:
 
         buf = io.StringIO()
         child = JsonlTracer(buf)
-        with child.span("dbs.loops.concurrent"):
+        with child.span("dbs.loops"):
             pass
         merged = tmp_path / "merged.jsonl"
         parent = JsonlTracer(str(merged))
         assert parent.absorb_shard(buf.getvalue().splitlines()) == 1
         parent.close()
         (event,) = load_events(str(merged))
-        assert event["name"] == "dbs.loops.concurrent"
+        assert event["name"] == "dbs.loops"
 
 
 @pytest.mark.trace_smoke

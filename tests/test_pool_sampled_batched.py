@@ -27,6 +27,7 @@ from repro.core.dsl import Example, Signature
 from repro.core.engine import Enumerator, PoolStore
 from repro.core.types import STRING
 from repro.domains.registry import get_domain
+from tests.test_enum_batched import enum_path
 
 STRINGS_SIG = Signature("f", (("v", STRING),), STRING)
 STRINGS_EXAMPLES = [
@@ -62,10 +63,11 @@ def _run(name, mode, advances=3, max_expressions=20_000):
         budget=Budget(max_seconds=120.0, max_expressions=max_expressions),
         metrics=stats.registry,
     )
-    enumerator = Enumerator(pool, enum_mode=mode)
-    enumerator.seed([])
-    for _ in range(advances):
-        enumerator.advance()
+    enumerator = Enumerator(pool)
+    with enum_path(mode):
+        enumerator.seed([])
+        for _ in range(advances):
+            enumerator.advance()
     return pool, stats
 
 

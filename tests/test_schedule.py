@@ -15,7 +15,6 @@ LRU among ties).
 import pytest
 
 from repro.core.budget import Budget
-from repro.core.dbs import DbsOptions
 from repro.core.dsl import DslBuilder, Example, Signature
 from repro.core.engine.cache import SessionCache
 from repro.core.engine.keys import options_fingerprint
@@ -25,11 +24,11 @@ from repro.core.engine.schedule import (
     SCHEDULERS,
     AdaptiveScheduler,
     FifoScheduler,
-    SchedulerRegistry,
     resolve_schedule,
 )
 from repro.core.tds import TdsOptions, TdsSession
 from repro.core.types import BOOL, INT
+from tests.test_enum_batched import enum_path
 
 DOMAIN_CASES = [
     ("strings", "extract-domain"),
@@ -39,12 +38,8 @@ DOMAIN_CASES = [
 MODES = ["batched", "classic"]
 
 
-def _options(schedule, mode="batched", warm=True):
-    return TdsOptions(
-        schedule=schedule,
-        reuse_pool=warm,
-        dbs=DbsOptions(enum_mode=mode),
-    )
+def _options(schedule, warm=True):
+    return TdsOptions(schedule=schedule, reuse_pool=warm)
 
 
 def _budget():
@@ -63,22 +58,11 @@ def _programs(result):
 
 
 def test_registry_ships_two_schedulers():
-    assert SCHEDULERS.names() == ["adaptive", "fifo"]
-    assert isinstance(SCHEDULERS.create("fifo"), FifoScheduler)
-    assert isinstance(SCHEDULERS.create("adaptive"), AdaptiveScheduler)
+    assert sorted(SCHEDULERS) == ["adaptive", "fifo"]
+    assert isinstance(SCHEDULERS["fifo"](), FifoScheduler)
+    assert isinstance(SCHEDULERS["adaptive"](), AdaptiveScheduler)
     with pytest.raises(KeyError):
-        SCHEDULERS.get("nope")
-
-
-def test_registry_register_unregister():
-    registry = SchedulerRegistry()
-    registry.register("fifo", FifoScheduler)
-    with pytest.raises(ValueError):
-        registry.register("fifo", FifoScheduler)
-    registry.register("fifo", AdaptiveScheduler, replace=True)
-    assert isinstance(registry.create("fifo"), AdaptiveScheduler)
-    registry.unregister("fifo")
-    assert registry.names() == []
+        SCHEDULERS["nope"]
 
 
 def test_resolve_schedule_env_fallback(monkeypatch):
@@ -123,12 +107,13 @@ def test_adaptive_matches_fifo(suite_name, bench_name, mode, warm):
     benchmark = next(
         b for b in ALL_SUITES[suite_name] if b.name == bench_name
     )
-    fifo = benchmark.run(
-        budget_factory=_budget, options=_options("fifo", mode, warm)
-    )
-    adaptive = benchmark.run(
-        budget_factory=_budget, options=_options("adaptive", mode, warm)
-    )
+    with enum_path(mode):
+        fifo = benchmark.run(
+            budget_factory=_budget, options=_options("fifo", warm)
+        )
+        adaptive = benchmark.run(
+            budget_factory=_budget, options=_options("adaptive", warm)
+        )
     assert fifo.success and adaptive.success
     assert _programs(fifo) == _programs(adaptive)
 
@@ -140,14 +125,15 @@ def test_adaptive_matches_fifo_pexfun(mode, warm):
 
     puzzle = next(p for p in PUZZLES if p.name == "max-of-two")
     budget = lambda: Budget(max_seconds=8, max_expressions=80_000)
-    fifo = play(
-        puzzle, budget_factory=budget, options=_options("fifo", mode, warm)
-    )
-    adaptive = play(
-        puzzle,
-        budget_factory=budget,
-        options=_options("adaptive", mode, warm),
-    )
+    with enum_path(mode):
+        fifo = play(
+            puzzle, budget_factory=budget, options=_options("fifo", warm)
+        )
+        adaptive = play(
+            puzzle,
+            budget_factory=budget,
+            options=_options("adaptive", warm),
+        )
     assert fifo.solved and adaptive.solved
     assert str(fifo.program) == str(adaptive.program)
 

@@ -234,8 +234,11 @@ def test_ping_and_malformed_requests():
 
 
 def test_timeout_is_a_structured_response_not_an_error():
+    # Pinned to fifo: this checks the shape of a timeout response, and
+    # adaptive's capped first admission leaves its uncapped second one
+    # enough of the wall to actually solve HOPELESS with a loop.
     with serve() as port:
-        response = synth(port, HOPELESS, timeout_s=0.5)
+        response = synth(port, HOPELESS, timeout_s=0.5, schedule="fifo")
     assert response["ok"] is True
     assert response["success"] is False
     assert response["truncated"] is True
@@ -283,6 +286,29 @@ def test_restarted_server_comes_back_warm(tmp_path):
         warm = synth(port, STRINGS)
     assert stats["cache"]["restored"] == 1
     assert warm["cache"]["F"] == {"hit": True, "reused_examples": 3}
+
+
+def test_journal_replays_only_its_own_version(tmp_path):
+    """Journal records carry a layout version. A record of another
+    version (here v1, keyed by an options fingerprint no current request
+    produces) restores nothing; the same record at v2 restores."""
+    journal = str(tmp_path / "cache.jsonl")
+    cache = SessionCache(
+        capacity=8, metrics=Registry(), journal_path=journal
+    )
+    _run_cached(STRINGS, cache)
+    cache.close()
+    (record,), _valid = Journal.scan(journal)
+    assert record["v"] == 2
+    for version, restored in ((1, 0), (2, 1)):
+        path = str(tmp_path / f"v{version}.jsonl")
+        with Journal(path) as writer:
+            writer.append(dict(record, v=version))
+        replayed = SessionCache(
+            capacity=8, metrics=Registry(), journal_path=path
+        )
+        assert replayed.stats()["restored"] == restored
+        replayed.close()
 
 
 # -- concurrent journal access (the satellite) ---------------------------
