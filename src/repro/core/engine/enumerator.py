@@ -39,7 +39,6 @@ holds them to that).
 from __future__ import annotations
 
 import itertools
-import os
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,28 +50,14 @@ from ..evaluator import check_value_size
 from ..expr import Call, Const, Expr, Lambda, LasyCall, Param, Recurse, Var, free_vars
 from ..types import types_compatible
 from ..values import ERROR, freeze
-from .pool import PoolEntry, PoolStore, _value_type
-
-# ---------------------------------------------------------------------
-# Enumeration-mode switch, mirroring evaluator.REPRO_EVAL: the batched
-# value-vector path is a pure optimization, and the classic path stays
-# selectable for differential tests, A/B timing, and as a safety hatch.
-
-_ENUM_MODE = "classic" if os.environ.get("REPRO_ENUM") == "classic" else "batched"
-
-
-def set_enum_mode(mode: str) -> str:
-    """Select ``"batched"`` or ``"classic"``; returns the previous mode."""
-    global _ENUM_MODE
-    if mode not in ("batched", "classic"):
-        raise ValueError(f"unknown enum mode {mode!r}")
-    previous = _ENUM_MODE
-    _ENUM_MODE = mode
-    return previous
-
-
-def get_enum_mode() -> str:
-    return _ENUM_MODE
+# The process-wide mode switch lives in pool.py and is re-exported here.
+from .pool import (
+    PoolEntry,
+    PoolStore,
+    _value_type,
+    get_enum_mode,
+    set_enum_mode,
+)
 
 
 def _production_label(prod: Production) -> str:

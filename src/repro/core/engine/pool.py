@@ -43,12 +43,15 @@ whole TDS example sequence (BUSTLE-style signature widening):
 Sampled fingerprints of free-variable expressions are computed over the
 example list at admission time and cannot be widened column-wise; on
 extension they are *recomputed* over the full widened list (the cost is
-bounded by the per-nonterminal var caps) so the free-variable corner of
-the pool stays exactly as deduplicated as a cold build would leave it.
+bounded by the per-nonterminal var caps), on the path admission takes in
+the current enumeration mode (the memoized grids when batched), so the
+free-variable corner of the pool stays exactly as deduplicated as a cold
+build would leave it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -88,6 +91,29 @@ _MAX_EXPR_SIZE = 60
 # Sampled-environment grid memo bound (see PoolStore._grid_values);
 # cleared wholesale on overflow, like the compile cache.
 _GRID_CACHE_LIMIT = 200_000
+
+# ---------------------------------------------------------------------
+# Enumeration-mode switch, mirroring evaluator.REPRO_EVAL: the batched
+# value-vector path is a pure optimization, and the classic path stays
+# selectable for differential tests, A/B timing, and as a safety hatch.
+# It lives here because the store re-keys extended entries on the path
+# that admitted them; engine.enumerator re-exports it.
+
+_ENUM_MODE = "classic" if os.environ.get("REPRO_ENUM") == "classic" else "batched"
+
+
+def set_enum_mode(mode: str) -> str:
+    """Select ``"batched"`` or ``"classic"``; returns the previous mode."""
+    global _ENUM_MODE
+    if mode not in ("batched", "classic"):
+        raise ValueError(f"unknown enum mode {mode!r}")
+    previous = _ENUM_MODE
+    _ENUM_MODE = mode
+    return previous
+
+
+def get_enum_mode() -> str:
+    return _ENUM_MODE
 
 
 @dataclass
@@ -757,6 +783,7 @@ class PoolStore:
         self._prune_stale_constants(seeds, report)
         filters = self.dsl.admission_filters
         dedup = self.options.semantic_dedup
+        fast = get_enum_mode() == "batched"
         for nt, entries in list(self._entries.items()):
             kept: List[PoolEntry] = []
             seen: set = set()
@@ -792,13 +819,16 @@ class PoolStore:
                     # Sampled fingerprints (free-variable and lambda
                     # entries) were taken over the shorter example list
                     # and cannot be widened column-wise; recompute them
-                    # over the full widened list, exactly as a cold
-                    # admission would — otherwise the var corner of the
-                    # pool escapes dedup and bloats every later
-                    # generation's combination space.
+                    # over the full widened list, on the path a cold
+                    # admission in this enumeration mode would take —
+                    # otherwise the var corner of the pool escapes dedup
+                    # and bloats every later generation's combination
+                    # space.
                     entry.sig = (
                         self._intern_sig(
-                            self._semantic_signature(entry.expr, None)
+                            self._signature_state(
+                                entry.expr, None, sampled_fast=fast
+                            )[0]
                         )
                         if dedup
                         else None
@@ -861,21 +891,39 @@ class PoolStore:
             for node in seed.walk():
                 if isinstance(node, Const):
                     allowed.add(node.value)
+        # Pooled trees share their hash-consed children, so each walk
+        # below visits every distinct node once, by identity. The memos
+        # are local to this pass, which allocates no nodes, so no id is
+        # reused while they live.
         present = set()
+        visited: set = set()
         for entries in self._entries.values():
             for entry in entries:
-                for node in entry.expr.walk():
+                stack = [entry.expr]
+                while stack:
+                    node = stack.pop()
+                    if id(node) in visited:
+                        continue
+                    visited.add(id(node))
                     if isinstance(node, Const):
                         present.add(node.value)
+                    else:
+                        stack.extend(node.children())
+        del visited
         stale = present - allowed
         if not stale:
             return
+        stale_memo: Dict[int, bool] = {}
 
-        def is_stale(expr: Expr) -> bool:
-            return any(
-                isinstance(node, Const) and node.value in stale
-                for node in expr.walk()
-            )
+        def is_stale(node: Expr) -> bool:
+            verdict = stale_memo.get(id(node))
+            if verdict is None:
+                if isinstance(node, Const):
+                    verdict = node.value in stale
+                else:
+                    verdict = any(is_stale(c) for c in node.children())
+                stale_memo[id(node)] = verdict
+            return verdict
 
         dropped = False
         for nt, entries in list(self._entries.items()):
@@ -1026,12 +1074,13 @@ class PoolStore:
         self._bindings_cache = {}
         self._var_meta_cache = {}
         dedup = self.options.semantic_dedup
+        fast = get_enum_mode() == "batched"
         dropped = False
         for nt, entries in list(self._entries.items()):
             kept: List[PoolEntry] = []
             seen: set = set()
             for entry in entries:
-                self._permute_entry(entry, order, dedup)
+                self._permute_entry(entry, order, dedup, fast)
                 if entry.sig is not None:
                     if entry.sig in seen:
                         self._c_semantic.value += 1
@@ -1048,12 +1097,12 @@ class PoolStore:
                 self._seen_semantic[nt] = seen
         for bucket in self._shadows.values():
             for entry in bucket:
-                self._permute_entry(entry, order, dedup)
+                self._permute_entry(entry, order, dedup, fast)
         if dropped:
             self._rebuild_by_type()
 
     def _permute_entry(
-        self, entry: PoolEntry, order: Sequence[int], dedup: bool
+        self, entry: PoolEntry, order: Sequence[int], dedup: bool, fast: bool
     ) -> None:
         if entry.values is not None:
             entry.values = tuple(entry.values[j] for j in order)
@@ -1074,7 +1123,11 @@ class PoolStore:
                 entry.sig_cols = None
         else:
             entry.sig = (
-                self._intern_sig(self._semantic_signature(entry.expr, None))
+                self._intern_sig(
+                    self._signature_state(
+                        entry.expr, None, sampled_fast=fast
+                    )[0]
+                )
                 if dedup
                 else None
             )
@@ -1086,7 +1139,11 @@ class PoolStore:
         definitions changed since the last run (identity snapshot); the
         LaSy runner rebinds ``lasy_fns[name]`` whenever another function
         is re-synthesized, silently staling any vector that called it.
-        Returns the number of entries refreshed."""
+        Returns the number of entries refreshed.
+
+        The function's *own* name is rebound on every run but never
+        matters: self-calls are ``Recurse`` nodes, and the enumerator
+        builds no ``LasyCall`` to its own signature."""
         current = {name: id(fn) for name, fn in self.lasy_fns.items()}
         if current == self._lasy_versions:
             return 0
@@ -1095,7 +1152,10 @@ class PoolStore:
             for name in set(current) | set(self._lasy_versions)
             if current.get(name) != self._lasy_versions.get(name)
         }
+        changed.discard(self.signature.name)
         self._lasy_versions = current
+        if not changed:
+            return 0
         # Grid cells may embed results of the changed functions.
         self._grid_cache = {}
         dedup = self.options.semantic_dedup
@@ -1224,24 +1284,20 @@ class PoolStore:
             out.append((name, ty))
         return out
 
-    def _semantic_signature(
-        self, expr: Expr, values: Optional[Tuple[Any, ...]]
-    ) -> Optional[Tuple]:
-        """The raw fingerprint driving semantic dedup, or None when
-        exempt. Seen-sets and entries store its interned id, not the
-        tuple itself — see :meth:`_intern_sig`."""
-        return self._signature_state(expr, values)[0]
-
     def _signature_state(
         self,
         expr: Expr,
         values: Optional[Tuple[Any, ...]],
         sampled_fast: bool = False,
     ) -> Tuple[Optional[Tuple], Optional[Tuple]]:
-        """``(raw_signature, key_columns)`` for an admission candidate.
-        For vector-derived fingerprints the signature *is* the column
-        tuple (cached on the entry so widening extends the prefix);
-        sampled fingerprints have no widenable columns."""
+        """``(raw_signature, key_columns)`` for an admission candidate;
+        the raw signature is None when exempt. Seen-sets and entries
+        store its interned id, not the tuple itself (see
+        :meth:`_intern_sig`). For vector-derived fingerprints the
+        signature *is* the column tuple (cached on the entry so widening
+        extends the prefix); sampled fingerprints have no widenable
+        columns, and ``sampled_fast`` takes them from the memoized grids
+        (:meth:`_sampled_signature_fast`)."""
         if is_recursive(expr):
             return None, None
         if not self.examples:

@@ -3,22 +3,41 @@
 :class:`Tester` evaluates candidate programs, computing the paper's
 T(p) sets (§5.2) and guard B(g) sets, with the angelic-recursion oracle
 for branch bodies of recursive programs.
+
+A recursive candidate is run once per example, angelically first. Both
+evaluators consult the oracle exactly where real self-recursion would
+start (``Recurse`` nodes, after the arguments are evaluated), so fuel,
+depth and errors are identical up to that point: a run that never calls
+the oracle *is* the real run. Only examples whose angelic run called the
+oracle are run a second time without it. :meth:`Tester.passed_set`
+keeps the angelic verdicts for the :meth:`Tester.angelic_passed_set`
+call that follows on the same program.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..budget import Budget, BudgetExhausted
 from ..dsl import Example, Signature
 from ..evaluator import EvaluationError, run_program
 from ..expr import Expr, is_recursive
-from ..values import ERROR, structurally_equal
+from ..values import ERROR, freeze, structurally_equal
 
 # Metric names shared with DbsStats (kept as literals to avoid a
 # circular import with repro.core.dbs).
 PROGRAMS_TESTED = "dbs.programs_tested"
+
+
+def _same_types(left: Any, right: Any) -> bool:
+    """Whether two ``==``-equal frozen values also agree in type
+    throughout: dict keys (and ``==``) conflate 1, 1.0 and True."""
+    if type(left) is not type(right):
+        return False
+    if type(left) is tuple:
+        return all(map(_same_types, left, right))
+    return True
 
 
 class Tester:
@@ -41,6 +60,8 @@ class Tester:
         self.stats = stats
         self.budget = budget
         self.previous_program = previous_program
+        # Signature.param_names builds a new tuple on every access.
+        self._param_names = signature.param_names
         self._tested = stats.registry.counter(PROGRAMS_TESTED)
         self._guard_records = stats.registry.counter(
             "dbs.cond.guards_recorded"
@@ -48,6 +69,15 @@ class Tester:
         self._program_records = stats.registry.counter(
             "dbs.cond.programs_recorded"
         )
+        self._real_reruns = stats.registry.counter("dbs.test.real_reruns")
+        self._memo_hits = stats.registry.counter("dbs.test.oracle_memo_hits")
+        # The angelic oracle, built on first use, and how many times it
+        # has been asked (a run that asked it reached a recursive call);
+        # a one-item list, so the oracle need not hold the Tester.
+        self._oracle = None
+        self._oracle_calls = [0]
+        # (program, angelic T(p)) of the last recursive passed_set.
+        self._angelic: Optional[Tuple[Expr, frozenset]] = None
         # Per-TDS-example cost attribution (report-trace --hotspots):
         # which example index the evaluation time and the candidate
         # rejections go to. Detailed runs only — the off path pays one
@@ -87,17 +117,41 @@ class Tester:
         return value
 
     def passed_set(self, program: Expr) -> frozenset:
-        """T(p): indices of examples the program handles."""
+        """T(p): indices of examples the program handles.
+
+        A recursive program runs angelically first on each example, and
+        for real only where the angelic run called the oracle; the
+        angelic T(p) is kept for :meth:`angelic_passed_set`."""
         self._charge()
+        oracle = self._recursion_oracle() if is_recursive(program) else None
         passed = set()
+        angelic = set()
+        asked = self._oracle_calls
         detailed = self._detailed
         for index, example in enumerate(self.examples):
             if detailed:
-                value = self._run_attributed(program, index, example)
-            else:
-                value = self._run(program, example)
-            if value is not ERROR and structurally_equal(value, example.output):
+                start = perf_counter()
+            calls = asked[0]
+            value = self._run(program, example, oracle)
+            ok = value is not ERROR and structurally_equal(
+                value, example.output
+            )
+            if oracle is not None:
+                if ok:
+                    angelic.add(index)
+                if asked[0] != calls:
+                    self._real_reruns.value += 1
+                    value = self._run(program, example)
+                    ok = value is not ERROR and structurally_equal(
+                        value, example.output
+                    )
+            if detailed:
+                self._ex_seconds.observe(perf_counter() - start, index=index)
+                self._ex_evals.inc(1, index=index)
+            if ok:
                 passed.add(index)
+        if oracle is not None:
+            self._angelic = (program, frozenset(angelic))
         return frozenset(passed)
 
     def angelic_passed_set(self, program: Expr) -> frozenset:
@@ -110,38 +164,71 @@ class Tester:
         if not is_recursive(program):
             return frozenset()
         self._charge()
+        kept = self._angelic
+        if kept is not None and kept[0] is program:
+            return kept[1]
         oracle = self._recursion_oracle()
         passed = set()
         for index, example in enumerate(self.examples):
-            value = self._run(program, example, recursion_oracle=oracle)
+            value = self._run(program, example, oracle)
             if value is not ERROR and structurally_equal(value, example.output):
                 passed.add(index)
         return frozenset(passed)
 
     def _recursion_oracle(self):
-        from ..evaluator import EvaluationError as _EE
-        from ..values import freeze as _freeze
-
+        """The angelic oracle, built once per Tester. Answers come from
+        the example table, else from running the previous program; those
+        runs are memoized for the Tester's lifetime, values and
+        :class:`EvaluationError` alike (the previous program is fixed
+        and every run gets fresh fuel, so an answer never changes)."""
+        if self._oracle is not None:
+            return self._oracle
         table = {
-            _freeze(example.args): _freeze(example.output)
+            freeze(example.args): freeze(example.output)
             for example in self.examples
         }
         previous = self.previous_program
+        names = self._param_names
+        lasy_fns = self.lasy_fns
+        fuel = self.options.evaluation_fuel
+        max_depth = self.options.max_recursion_depth
+        memo_hits = self._memo_hits
+        asked = self._oracle_calls
+        # args -> (args, raised, value or error args).
+        memo: Dict[Tuple, Tuple[Tuple, bool, Any]] = {}
 
         def oracle(args):
+            asked[0] += 1
             if args in table:
                 return table[args]
-            if previous is not None:
-                return run_program(
-                    previous,
-                    self.signature.param_names,
-                    args,
-                    lasy_fns=self.lasy_fns,
-                    fuel=self.options.evaluation_fuel,
-                    max_depth=self.options.max_recursion_depth,
+            if previous is None:
+                raise EvaluationError(
+                    "angelic recursion: input not in example table"
                 )
-            raise _EE("angelic recursion: input not in example table")
+            hit = memo.get(args)
+            if hit is not None and _same_types(hit[0], args):
+                memo_hits.value += 1
+                if hit[1]:
+                    raise EvaluationError(*hit[2])
+                return hit[2]
+            try:
+                value = run_program(
+                    previous,
+                    names,
+                    args,
+                    lasy_fns=lasy_fns,
+                    fuel=fuel,
+                    max_depth=max_depth,
+                )
+            except EvaluationError as exc:
+                if hit is None:
+                    memo[args] = (args, True, exc.args)
+                raise
+            if hit is None:
+                memo[args] = (args, False, value)
+            return value
 
+        self._oracle = oracle
         return oracle
 
     def passes_all(self, program: Expr) -> bool:
@@ -164,7 +251,7 @@ class Tester:
         try:
             return run_program(
                 program,
-                self.signature.param_names,
+                self._param_names,
                 example.args,
                 lasy_fns=self.lasy_fns,
                 fuel=self.options.evaluation_fuel,

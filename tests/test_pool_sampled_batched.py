@@ -8,6 +8,12 @@ be observationally identical to the per-candidate reference
 (``_sampled_signature``): the same admissions in the same order, the
 same shadow buckets, and the same dedup/rejection counters.
 
+Each run advances a few generations, then takes the warm path a
+session takes between TDS iterations: ``extend_examples`` by one
+example, ``reorder_examples``, and one more advance. Extension re-keys
+sampled entries on the path that admitted them (the grids in batched
+mode), so the comparisons cover it too.
+
 Two comparisons, on the real strings and pexfun domains:
 
 * fast grids vs the per-candidate reference *within* batched mode —
@@ -34,6 +40,7 @@ STRINGS_EXAMPLES = [
     Example(("John Smith",), "J.S."),
     Example(("Jane Doe",), "J.D."),
 ]
+STRINGS_EXTRA = Example(("Ada Lovelace",), "A.L.")
 
 
 def _pexfun_case():
@@ -43,18 +50,23 @@ def _pexfun_case():
     examples = [
         Example(args, puzzle.reference(*args)) for args in puzzle.seeds
     ]
-    return puzzle.signature, examples
+    extra = Example((7, -3), puzzle.reference(7, -3))
+    return puzzle.signature, examples, extra
 
 
 def _domain_case(name):
     if name == "strings":
-        return get_domain("strings").dsl(), STRINGS_SIG, STRINGS_EXAMPLES
-    signature, examples = _pexfun_case()
-    return get_domain("pexfun").dsl(), signature, examples
+        dsl = get_domain("strings").dsl()
+        return dsl, STRINGS_SIG, STRINGS_EXAMPLES, STRINGS_EXTRA
+    signature, examples, extra = _pexfun_case()
+    return get_domain("pexfun").dsl(), signature, examples, extra
 
 
-def _run(name, mode, advances=3, max_expressions=20_000):
-    dsl, signature, examples = _domain_case(name)
+def _run(name, mode, advances=2, max_expressions=20_000):
+    """Advance, extend by one example, reverse the example order, and
+    advance once more; returns the pool, its stats, and the pool state
+    after each of those four stages."""
+    dsl, signature, examples, extra = _domain_case(name)
     stats = DbsStats()
     pool = PoolStore(
         dsl,
@@ -64,11 +76,33 @@ def _run(name, mode, advances=3, max_expressions=20_000):
         metrics=stats.registry,
     )
     enumerator = Enumerator(pool)
+    stages = []
     with enum_path(mode):
         enumerator.seed([])
         for _ in range(advances):
             enumerator.advance()
-    return pool, stats
+        stages.append(_pool_state(pool))
+        # A fresh budget for the warm steps, as a session binds one per run.
+        pool.bind(
+            stats.registry,
+            Budget(max_seconds=120.0, max_expressions=max_expressions),
+        )
+        pool.extend_examples([extra])
+        if name == "strings":
+            # The extension re-keyed sampled (free-variable) entries.
+            # The pexfun pool holds none: its loop bodies come from the
+            # loop strategies, not from enumeration.
+            assert any(
+                e.values is None and e.sig is not None
+                for entries in pool._entries.values()
+                for e in entries
+            )
+        stages.append(_pool_state(pool))
+        pool.reorder_examples(list(reversed(range(len(pool.examples)))))
+        stages.append(_pool_state(pool))
+        enumerator.advance()
+        stages.append(_pool_state(pool))
+    return pool, stats, stages
 
 
 def _pool_state(pool):
@@ -103,14 +137,14 @@ def test_fast_sampled_signatures_match_reference(name, monkeypatch):
     """Within batched mode, grids vs per-candidate signatures: only the
     fingerprint computation differs, so pool state *and* every counter
     must be byte-identical."""
-    fast_pool, fast_stats = _run(name, "batched")
+    _, fast_stats, fast_stages = _run(name, "batched")
     monkeypatch.setattr(
         PoolStore,
         "_sampled_signature_fast",
         lambda self, expr, adapter: self._sampled_signature(expr, adapter),
     )
-    ref_pool, ref_stats = _run(name, "batched")
-    assert _pool_state(fast_pool) == _pool_state(ref_pool)
+    _, ref_stats, ref_stages = _run(name, "batched")
+    assert fast_stages == ref_stages
     assert _counters(fast_stats) == _counters(ref_stats)
 
 
@@ -120,6 +154,22 @@ def test_enum_modes_agree_on_pool_state(name):
     must admit the same entries and shadow the same losers (dedup
     counters differ across modes by design — the batched pipeline
     rejects value vectors before materialization)."""
-    batched_pool, _ = _run(name, "batched")
-    classic_pool, _ = _run(name, "classic")
-    assert _pool_state(batched_pool) == _pool_state(classic_pool)
+    _, _, batched_stages = _run(name, "batched")
+    _, _, classic_stages = _run(name, "classic")
+    assert batched_stages == classic_stages
+
+
+def test_refresh_lasy_ignores_the_pools_own_name():
+    """The LaSy runner rebinds the synthesized function's own name on
+    every run; no pooled expression calls it (self-calls are Recurse
+    nodes), so nothing is refreshed and the grids survive."""
+    pool, _, _ = _run("strings", "batched", advances=1)
+    grids = pool._grid_cache
+    assert grids
+    pool.lasy_fns[pool.signature.name] = lambda v: v
+    assert pool.refresh_lasy() == 0
+    assert pool._grid_cache is grids
+    # A second rebinding is still noticed, and still ignored.
+    pool.lasy_fns[pool.signature.name] = lambda v: v
+    assert pool.refresh_lasy() == 0
+    assert pool._grid_cache is grids
