@@ -29,34 +29,81 @@ rebuild would repeat), and over capacity the cache evicts the entry
 with the *smallest* cost, breaking ties by least-recent insertion. With
 no cost signal (all zeros) this degrades to exactly the old LRU order.
 
-**Persistence.** With a ``journal_path`` the cache writes one fsync'd
-record per release through :class:`repro.exec.checkpoint.Journal`
-(pickled ``(key, session)``, base64 in JSONL) and replays the journal
-on construction, applying the same insert/evict discipline a live cache
-would — so a SIGKILLed server restarted over the same journal comes
-back with exactly the warm set it died with, minus at most the one
-record the kill tore (which ``Journal.scan`` drops). Sessions that
-resist pickling (e.g. a DSL built over closures) are cached in memory
-only.
+**Persistence.** With a ``journal_path`` the cache journals every
+change to its membership through :class:`repro.exec.checkpoint.Journal`,
+one fsync'd JSONL record per change, written before the call returns:
+
+* a *full* record (base64 pickle of ``(key, session)``) when a release
+  leaves its session in the cache and is not a touch;
+* a *touch* record (key and cost only) when the session released under
+  a key is the one that wrote that key's latest full record and has
+  not changed since: no new ``TdsStep`` and the same lifetime DBS
+  seconds (every admission and every DBS call appends a step);
+* a *checkout* record on every hit, since :meth:`~SessionCache.acquire`
+  removes the entry;
+* no record when a release evicts its own entry, which leaves the
+  membership as it was.
+
+On construction the cache replays the journal by simulating itself over
+the records, and unpickles only the survivors — so a SIGKILLed server
+restarted over the same journal comes back with exactly the warm set it
+died with, keys and order, minus at most the one record the kill tore
+(which ``Journal.scan`` drops). Sessions that resist pickling (e.g. a
+DSL built over closures) are cached in memory only.
 """
 
 from __future__ import annotations
 
 import base64
+import json
+import os
 import pickle
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ...exec.checkpoint import Journal
 from ...obs import metrics as obs_metrics
 from ..dsl import Example
 from .keys import SessionKey, example_fingerprints
 
-# Journal records are versioned so a future layout change can skip (not
-# crash on) old blobs. Version 2: the options fingerprint in every key
-# lost four fields, so no new request can hit a version-1 session.
-_JOURNAL_VERSION = 2
+# Journal records are versioned so a layout change can skip (not crash
+# on) old blobs. Version 3: full/touch/checkout records, and blobs that
+# rebuild expressions through their constructors (version-2 blobs carry
+# hashes of the PYTHONHASHSEED that wrote them).
+_JOURNAL_VERSION = 3
+
+# The attribute a session carries after a full record of it was
+# journaled: ``(token, key, version)``. ``token`` is the object
+# ``SessionCache._written[key]`` holds while that record is the key's
+# latest full one; ``version`` is :func:`_version` at the time. It names
+# a record in this process's journal only, so it never travels in a
+# pickle (``TdsSession.__reduce__`` drops it).
+STAMP = "_journal_stamp"
+
+
+def _version(session: Any) -> Optional[Tuple[int, float]]:
+    """What a touch record vouches is unchanged since the session's last
+    full record, or None (always write a full record) for a session
+    without steps."""
+    steps = getattr(session, "steps", None)
+    if steps is None:
+        return None
+    return len(steps), getattr(session, "total_dbs_seconds", 0.0)
+
+
+def _eviction_victim(keys: Iterable[Any], costs: Mapping[Any, float]) -> Any:
+    """The entry an over-capacity cache evicts: the smallest cost, the
+    first-seen among ties (strict ``<``), so equal-cost entries fall out
+    in insertion (LRU) order — plain LRU when no session reports a
+    cost. Shared by the live cache and journal replay."""
+    victim: Any = None
+    victim_cost = 0.0
+    for key in keys:
+        cost = costs.get(key, 0.0)
+        if victim is None or cost < victim_cost:
+            victim, victim_cost = key, cost
+    return victim
 
 
 class SessionCache:
@@ -78,11 +125,20 @@ class SessionCache:
         self._c_insert = self.metrics.counter("serve.cache.insert")
         self._c_evicted = self.metrics.counter("serve.cache.evicted")
         self._c_restored = self.metrics.counter("serve.cache.restored")
+        self._c_full = self.metrics.counter("serve.cache.journal.full")
+        self._c_touch = self.metrics.counter("serve.cache.journal.touch")
+        self._c_checkout = self.metrics.counter("serve.cache.journal.checkout")
+        self._c_bytes = self.metrics.counter("serve.cache.journal.bytes")
         self._lock = threading.RLock()
         self._entries: "OrderedDict[SessionKey, Any]" = OrderedDict()
         # Rebuild-cost estimate per entry (dbs-seconds the session has
         # spent over its lifetime); drives eviction order.
         self._costs: Dict[SessionKey, float] = {}
+        # key -> token of the session whose full record is the key's
+        # latest in the journal (see STAMP). Checkout keeps the token, so
+        # an unchanged session coming back writes a touch; a full record
+        # from another session replaces it.
+        self._written: Dict[SessionKey, object] = {}
         self.journal_path = journal_path
         self._journal: Optional[Journal] = None
         if journal_path is not None:
@@ -118,6 +174,10 @@ class SessionCache:
             session = self._entries.pop(best_key)
             self._costs.pop(best_key, None)
             self._c_hit.value += 1
+            if self._journal is not None:
+                self._append(
+                    self._c_checkout, {"kind": "checkout", "key": repr(best_key)}
+                )
             return session, len(best_key.examples)
 
     def release(self, session: Any, key: Optional[SessionKey] = None) -> SessionKey:
@@ -125,8 +185,8 @@ class SessionCache:
         current identity key, evicting the cheapest-to-rebuild entry
         over capacity (least-recent among cost ties — which includes the
         new entry itself, so a trivial session never displaces an
-        expensive one). Appends the release to the journal when one is
-        configured."""
+        expensive one). Journals the release when a journal is
+        configured and the session stayed in the cache."""
         if hasattr(session, "suspend"):
             session.suspend()
         if key is None:
@@ -134,28 +194,19 @@ class SessionCache:
         with self._lock:
             self._entries.pop(key, None)
             self._entries[key] = session
-            self._costs[key] = float(
-                getattr(session, "rebuild_cost_s", 0.0) or 0.0
-            )
+            cost = float(getattr(session, "rebuild_cost_s", 0.0) or 0.0)
+            self._costs[key] = cost
             self._c_insert.value += 1
             self._evict_over_capacity()
-            if self._journal is not None:
-                self._append_journal(key, session)
+            if self._journal is not None and key in self._entries:
+                self._journal_release(key, session, cost)
         return key
 
     def _evict_over_capacity(self) -> None:
-        """Drop min-cost entries until within capacity (lock held).
-        Strict ``<`` keeps the first-seen minimum, so equal-cost entries
-        fall out in insertion (LRU) order — plain LRU when no session
-        reports a cost."""
+        """Drop min-cost entries until within capacity (lock held)."""
         while len(self._entries) > self.capacity:
-            victim: Optional[SessionKey] = None
-            victim_cost = 0.0
-            for key in self._entries:
-                cost = self._costs.get(key, 0.0)
-                if victim is None or cost < victim_cost:
-                    victim, victim_cost = key, cost
-            self._entries.pop(victim)
+            victim = _eviction_victim(self._entries, self._costs)
+            self._forget(self._entries.pop(victim))
             self._costs.pop(victim, None)
             self._c_evicted.value += 1
 
@@ -179,12 +230,17 @@ class SessionCache:
                 "inserts": int(self._c_insert.value),
                 "evicted": int(self._c_evicted.value),
                 "restored": int(self._c_restored.value),
+                "journal_full": int(self._c_full.value),
+                "journal_touch": int(self._c_touch.value),
+                "journal_checkout": int(self._c_checkout.value),
+                "journal_bytes": int(self._c_bytes.value),
             }
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._costs.clear()
+            self._written.clear()
 
     def close(self) -> None:
         with self._lock:
@@ -201,54 +257,105 @@ class SessionCache:
 
     # -- journal persistence -------------------------------------------
 
-    def _append_journal(self, key: SessionKey, session: Any) -> None:
+    def _journal_release(self, key: SessionKey, session: Any, cost: float) -> None:
+        """Journal a release that left ``session`` in the cache (lock
+        held): a touch when the journal already holds this session,
+        unchanged, as the key's latest full record; a full record
+        otherwise."""
+        record: Dict[str, Any] = {"key": repr(key), "cost": cost}
+        version = _version(session)
+        stamp = getattr(session, STAMP, None)
+        if (
+            stamp is not None
+            and self._written.get(key) is stamp[0]
+            and stamp[2] == version
+        ):
+            record["kind"] = "touch"
+            self._append(self._c_touch, record)
+            return
         try:
-            blob = pickle.dumps((key, session))
+            blob = base64.b64encode(pickle.dumps((key, session))).decode("ascii")
         except Exception:
             # In-memory only: something in the session (a closure-built
             # DSL, a foreign domain value) resists pickling. The live
             # cache still works; only restart warmth is lost for it.
             return
-        self._journal.append(
-            {
-                "v": _JOURNAL_VERSION,
-                "key": repr(key),
-                "blob": base64.b64encode(blob).decode("ascii"),
-            }
-        )
+        record["kind"] = "full"
+        self._append(self._c_full, record, blob)
+        self._claim(key, session)
+
+    def _claim(self, key: SessionKey, session: Any) -> None:
+        """Make ``session``, as it is now, the owner of ``key``'s latest
+        full record (lock held)."""
+        self._forget(session)
+        token = object()
+        self._written[key] = token
+        version = _version(session)
+        if version is not None:
+            setattr(session, STAMP, (token, key, version))
+
+    def _forget(self, session: Any) -> None:
+        """Retire ``session``'s claim on a key's latest full record
+        (lock held): it was evicted, or is about to claim a newer one."""
+        stamp = getattr(session, STAMP, None)
+        if stamp is not None and self._written.get(stamp[1]) is stamp[0]:
+            del self._written[stamp[1]]
+
+    def _append(self, counter, record: Dict[str, Any], blob: str = "") -> None:
+        """Append one fsync'd record (lock held) and count it. The byte
+        count is the JSONL line's; base64 needs no JSON escaping, so the
+        blob adds exactly its length."""
+        record["v"] = _JOURNAL_VERSION
+        if blob:
+            record["blob"] = ""
+            size = len(json.dumps(record)) + len(blob) + 1
+            record["blob"] = blob
+        else:
+            size = len(json.dumps(record)) + 1
+        self._journal.append(record)
+        counter.value += 1
+        self._c_bytes.value += size
 
     def _replay_journal(self, path: str) -> int:
-        """Rebuild the cache from a journal, replaying releases in order
-        with the live insert/evict discipline: the survivors are exactly
-        the last ``capacity`` distinct keys, and the torn tail a kill
-        left behind is truncated so later appends keep the file sound."""
-        import os
-
+        """Rebuild the cache from a journal by simulating the live cache
+        over its records, in order: releases (full and touch) insert
+        with the recorded cost and evict by the live rule, checkouts
+        remove. Only the survivors' blobs are unpickled, each from its
+        key's latest full record. The torn tail a kill left behind is
+        truncated so later appends keep the file sound."""
         records, valid_bytes = Journal.scan(path)
         if os.path.exists(path):
             with open(path, "rb+") as fh:
                 fh.truncate(valid_bytes)
-        # Dedup to the last record per key first (a later release of the
-        # same key always supersedes), then replay the survivors through
-        # the live insert/evict discipline — cost-aware, so an expensive
-        # old session outlives many cheap recent ones, exactly as it
-        # would have in the cache that wrote the journal.
-        last: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        live: "OrderedDict[str, float]" = OrderedDict()
+        blobs: Dict[str, str] = {}
         for record in records:
-            if record.get("v") != _JOURNAL_VERSION or "key" not in record:
-                continue
-            last.pop(record["key"], None)
-            last[record["key"]] = record
-        for record in last.values():
             try:
-                blob = base64.b64decode(record["blob"])
-                key, session = pickle.loads(blob)
+                if record["v"] != _JOURNAL_VERSION:
+                    continue
+                kind, key = record["kind"], record["key"]
+                if kind == "checkout":
+                    live.pop(key, None)
+                    continue
+                cost = float(record["cost"])
+                if kind == "full":
+                    blobs[key] = record["blob"]
+                elif kind != "touch" or key not in blobs:
+                    continue
+            except (KeyError, TypeError, ValueError):
+                continue  # another layout or a foreign record: skip, don't die
+            live.pop(key, None)
+            live[key] = cost
+            while len(live) > self.capacity:
+                del live[_eviction_victim(live, live)]
+        for key_repr, cost in live.items():
+            try:
+                key, session = pickle.loads(base64.b64decode(blobs[key_repr]))
             except Exception:
                 continue  # version drift / foreign record: skip, don't die
-            self._entries.pop(key, None)
             self._entries[key] = session
-            self._costs[key] = float(
-                getattr(session, "rebuild_cost_s", 0.0) or 0.0
-            )
-            self._evict_over_capacity()
+            self._costs[key] = cost
+            # The key's latest full record is this very session, so an
+            # unchanged release may touch it.
+            self._claim(key, session)
         return len(self._entries)

@@ -28,7 +28,8 @@ the smaller-programs bias of the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional, Tuple
 
 from .types import Type
@@ -107,6 +108,19 @@ class Expr:
             return False
         return self._identity() == other._identity()  # type: ignore[union-attr]
 
+    def __reduce__(self):
+        # Pickle as (class, constructor arguments), not the instance
+        # dict: loading rebuilds the node through its constructor, so
+        # the construction-time caches are recomputed rather than
+        # shipped. That is smaller, and it is what keeps a loaded node
+        # equal to a fresh one: ``_hash`` mixes ``str`` hashes, which
+        # depend on PYTHONHASHSEED, and ``__eq__`` trusts it.
+        kind = type(self)
+        args = _CTOR_ARGS.get(kind)
+        if args is None:
+            args = _CTOR_ARGS[kind] = _ctor_args_getter(kind)
+        return kind, args(self)
+
     def children(self) -> Tuple["Expr", ...]:
         return ()
 
@@ -139,6 +153,18 @@ class Expr:
 
 
 _NO_FREE_VARS: frozenset = frozenset()
+
+# Expr class -> function returning a node's constructor arguments, in
+# dataclass field order (see Expr.__reduce__).
+_CTOR_ARGS: dict = {}
+
+
+def _ctor_args_getter(kind: type) -> Callable[["Expr"], tuple]:
+    names = [f.name for f in fields(kind) if f.init]
+    get = attrgetter(*names)
+    if len(names) == 1:
+        return lambda node: (get(node),)
+    return get
 
 
 def _finish(node: Expr, size: int) -> None:

@@ -28,6 +28,7 @@ are discovered; :func:`tds` is the batch wrapper.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Mapping, MutableMapping, Optional, Sequence
@@ -606,22 +607,25 @@ class TdsSession:
     # -- pickling (the parallel runner and the session cache's journal
     #    ship sessions) ---------------------------------------------------
 
-    def __getstate__(self):
-        # Deadlines (monotonic clock) and cancel tokens (locks) cannot
-        # cross a process boundary: the transported session re-arms a
-        # fresh timeout_s wall on first use. The warm engine (pool +
-        # enumerator) travels — its own __getstate__ drops the per-run
-        # bindings and identity caches — unless something in it resists
-        # pickling (e.g. a DSL built over lambdas), in which case it is
-        # dropped and the transported session degrades to a cold
+    def __reduce__(self):
+        # The transport state is pickled here, in one pass, and the
+        # enclosing pickle stores the blob. Deadlines (monotonic clock)
+        # and cancel tokens (locks) cannot cross a process boundary: the
+        # transported session re-arms a fresh timeout_s wall on first
+        # use. The warm engine (pool + enumerator) travels — its own
+        # __getstate__ drops the per-run bindings and identity caches —
+        # unless something in it resists pickling (e.g. a DSL built over
+        # lambdas): only when the pass raises is the state pickled again
+        # without it, and the transported session degrades to a cold
         # rebuild instead of failing the whole dump.
-        import pickle
-
         state = self.__dict__.copy()
         state["_deadline"] = None
         state["_deadline_armed"] = False
         state["cancel"] = None
         state["_sched"] = None  # recreated from options on first use
+        # The session cache's journal stamp names a record in one
+        # process's journal (engine.cache.STAMP); it never travels.
+        state.pop("_journal_stamp", None)
         # Budget factories are often closures (CLI flags, test lambdas);
         # a cache checkout installs the new request's factory anyway, so
         # an unpicklable one degrades to the default rather than failing
@@ -630,13 +634,14 @@ class TdsSession:
             pickle.dumps(state.get("budget_factory"))
         except Exception:
             state["budget_factory"] = default_budget
-        engine = state.get("_engine")
-        if engine is not None:
-            try:
-                pickle.dumps(engine)
-            except Exception:
-                state["_engine"] = None
-        return state
+        try:
+            blob = pickle.dumps(state)
+        except Exception:
+            if state.get("_engine") is None:
+                raise
+            state["_engine"] = None
+            blob = pickle.dumps(state)
+        return _load_session, (type(self), blob)
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
@@ -648,6 +653,14 @@ class TdsSession:
             engine.lasy_fns = self.lasy_fns
             if engine.pool is not None:
                 engine.pool.lasy_fns = self.lasy_fns
+
+
+def _load_session(kind: type, blob: bytes) -> TdsSession:
+    """Unpickle a :class:`TdsSession` (or subclass) from its
+    ``__reduce__`` blob."""
+    session = kind.__new__(kind)
+    session.__setstate__(pickle.loads(blob))
+    return session
 
 
 def tds(

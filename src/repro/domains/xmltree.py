@@ -62,6 +62,11 @@ class XmlNode:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through the constructor on load: ``_hash`` mixes str
+        # hashes (PYTHONHASHSEED-dependent) and ``__eq__`` trusts it.
+        return XmlNode, (self.tag, self.attrs, self.children)
+
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
