@@ -452,8 +452,21 @@ class Enumerator:
                     # closed, so the whole classic admission pipeline
                     # applies to it — but its sampled fingerprint can
                     # come from the memoized grids instead of a fresh
-                    # per-candidate evaluation.
-                    expr = make_expr(tuple(e.expr for e in combo))
+                    # per-candidate evaluation. Without a recursive
+                    # child, offer()'s gates apply to the unbuilt combo.
+                    children = tuple(e.expr for e in combo)
+                    if not any(c.has_recurse for c in children):
+                        size = 1
+                        has_vars = False
+                        for child in children:
+                            size += child.size
+                            if child.free_var_set:
+                                has_vars = True
+                        reason = store.gate(nt, size, has_vars)
+                        if reason is not None:
+                            store.refuse(nt, reason)
+                            break
+                    expr = make_expr(children)
                     c_materialized.value += 1
                     result = store.offer(expr, sampled_fast=True)
                     if result is not None:

@@ -423,6 +423,36 @@ class PoolStore:
 
     # -- dedup / admission ---------------------------------------------
 
+    def gate(
+        self, nt: str, size: int, has_vars: bool, expr: Optional[Expr] = None
+    ) -> Optional[str]:
+        """Why :meth:`offer` turns a candidate away before building its
+        signature, or None. The gates, in order: the size cap, the
+        recursion shape (checked only when the tree ``expr`` is given),
+        and for a candidate with free variables the var-size cap and the
+        per-nonterminal var cap. The enumerator gates a combo without a
+        recursive child by its summed child sizes and merged free
+        variables, so a rejected combo is never built."""
+        if size > self.options.max_expr_size:
+            return "size"
+        if expr is not None and not _recursion_shape_ok(expr):
+            return "recursion_shape"
+        if has_vars:
+            if size > self.options.max_var_expr_size:
+                return "var_size"
+            if self._var_counts.get(nt, 0) >= self.options.max_var_exprs_per_nt:
+                return "var_cap"
+        return None
+
+    def refuse(self, nt: str, reason: str) -> None:
+        """Account one offer that :meth:`gate` rejected: the budget
+        charge and the offered/rejected counters :meth:`offer` moves."""
+        self.budget.charge_expression()
+        self._c_offered.value += 1
+        self._c_rejected.value += 1
+        if self._detailed:
+            self._c_rejected.label(reason=reason, nt=nt)
+
     def offer(
         self,
         expr: Expr,
@@ -437,33 +467,13 @@ class PoolStore:
         (free-variable) fingerprint from the identity-memoized grids of
         :meth:`_grid_values` instead of a fresh per-candidate evaluation;
         the decision tree and signature semantics are unchanged."""
+        expr_vars = free_vars(expr)
+        reason = self.gate(expr.nt, expr.size, bool(expr_vars), expr)
+        if reason is not None:
+            self.refuse(expr.nt, reason)
+            return None
         self.budget.charge_expression()
         self._c_offered.value += 1
-        if expr.size > self.options.max_expr_size:
-            self._c_rejected.value += 1
-            if self._detailed:
-                self._c_rejected.label(reason="size", nt=expr.nt)
-            return None
-        if not _recursion_shape_ok(expr):
-            self._c_rejected.value += 1
-            if self._detailed:
-                self._c_rejected.label(reason="recursion_shape", nt=expr.nt)
-            return None
-        expr_vars = free_vars(expr)
-        if expr_vars:
-            if expr.size > self.options.max_var_expr_size:
-                self._c_rejected.value += 1
-                if self._detailed:
-                    self._c_rejected.label(reason="var_size", nt=expr.nt)
-                return None
-            if (
-                self._var_counts.get(expr.nt, 0)
-                >= self.options.max_var_exprs_per_nt
-            ):
-                self._c_rejected.value += 1
-                if self._detailed:
-                    self._c_rejected.label(reason="var_cap", nt=expr.nt)
-                return None
         # Children come from the pool and are already canonical, so only
         # the root needs rewriting; rewrites are semantics-preserving, so
         # any computed value vector remains valid.

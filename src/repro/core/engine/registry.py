@@ -154,14 +154,10 @@ def loops_plugin(session, budget, tracer) -> Optional[Expr]:
     options, dsl = session.options, session.dsl
     if not options.enable_loops or not dsl.loops:
         return None
-    from ..loops import make_body_synthesizer, run_loop_strategies
+    from ..loops import BodySynthesizer, run_loop_strategies
 
-    synthesize_body = make_body_synthesizer(
-        dsl,
-        options,
-        budget,
-        session.lasy_fns,
-        session.lasy_signatures,
+    synthesize_body = BodySynthesizer(
+        dsl, options, budget, session.lasy_fns, session.lasy_signatures
     )
     candidates = run_loop_strategies(
         dsl, session.signature, session.examples, synthesize_body

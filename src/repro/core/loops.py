@@ -17,12 +17,15 @@ the synthesizer, and wraps the result in boilerplate:
   examples over ``i`` and ``acc`` (the previous iteration's return
   value); the smallest input seeds the accumulator.
 
-Strategies never test the assembled program themselves; DBS does.
+Before any example is decomposed, :func:`typed_variants` drops the
+hypotheses that cannot type-check against the function's signature, so
+no body search is started that could never succeed. Strategies never
+test the assembled program themselves; DBS does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.trace import get_tracer
@@ -37,29 +40,33 @@ from .expr import (
     Param,
     Var,
 )
-from .types import INT, STRING, Type, list_of
+from .types import INT, STRING, Type, list_of, types_compatible
 from .values import freeze
 
-# The sub-synthesis callback: (signature, examples, start_nt) -> program
+# The sub-synthesis callback: (signature, examples, start_nt) -> program.
+# One that counts what it spends exposes the running total as an
+# ``expressions`` attribute, which the rule spans report.
 SubSynthesizer = Callable[[Signature, Sequence[Example], str], Optional[Expr]]
 
 
-def make_body_synthesizer(
-    dsl: Dsl,
-    options,
-    budget,
-    lasy_fns,
-    lasy_signatures,
-) -> SubSynthesizer:
+class BodySynthesizer:
     """The standard :data:`SubSynthesizer`: a nested DBS call over a
     fresh trivial context at the body's start nonterminal, on a spawned
     slice of the parent budget, with loop strategies disabled (no nested
     loops). The spawned budget shares the parent's hard deadline and
-    cancel tokens, so a cancelled request stops its loop bodies too."""
-    from dataclasses import replace
+    cancel tokens, so a cancelled request stops its loop bodies too.
+    ``expressions`` totals what the spawned budgets spent."""
 
-    def synthesize_body(
-        body_sig: Signature, body_examples: Sequence[Example], start_nt: str
+    def __init__(self, dsl: Dsl, options, budget, lasy_fns, lasy_signatures):
+        self.dsl = dsl
+        self.options = replace(options, enable_loops=False)
+        self.budget = budget
+        self.lasy_fns = lasy_fns
+        self.lasy_signatures = lasy_signatures
+        self.expressions = 0
+
+    def __call__(
+        self, body_sig: Signature, body_examples: Sequence[Example], start_nt: str
     ) -> Optional[Expr]:
         from .contexts import Context
         from .dbs import dbs  # deferred: loops is imported by dbs
@@ -69,24 +76,23 @@ def make_body_synthesizer(
             root=Hole(start_nt),
             path=(),
             hole_nt=start_nt,
-            hole_type=dsl.type_of(start_nt),
+            hole_type=self.dsl.type_of(start_nt),
         )
-        sub_options = replace(options, enable_loops=False)
         result = dbs(
             contexts=[sub_context],
             examples=body_examples,
             seeds=[],
-            dsl=dsl,
+            dsl=self.dsl,
             signature=body_sig,
             max_branches=3,
-            budget=budget.spawn(0.35),
-            lasy_fns=lasy_fns,
-            lasy_signatures=lasy_signatures,
-            options=sub_options,
+            budget=self.budget.spawn(0.35),
+            lasy_fns=self.lasy_fns,
+            lasy_signatures=self.lasy_signatures,
+            options=self.options,
         )
+        self.expressions += result.stats.expressions
         return result.program
 
-    return synthesize_body
 
 # Delimiters tried by the 'split' variant.
 _SPLIT_DELIMITERS = ("\n", " ", ",", ", ", ";", "\t", "|", "-")
@@ -130,13 +136,69 @@ class LoopCandidate:
     param_name: str
 
 
+def typed_variants(dsl: Dsl, rule: LoopRule, return_type: Type) -> Tuple[str, ...]:
+    """The variants of ``rule`` whose loop hypothesis type-checks for a
+    function returning ``return_type``, decided from the DSL and the
+    signature alone:
+
+    * FOR: the body's type is the return type (each iteration returns
+      the accumulator's next value);
+    * FOREACH ``forward``/``reverse``: the rule's nonterminal is a list
+      type compatible with the return type, and the body's type is its
+      element type;
+    * FOREACH ``split``: the rule's nonterminal and the body are strings.
+
+    A nonterminal's expressions evaluate to values of its type or to
+    errors, so the body search of a hypothesis dropped here could never
+    succeed; it is not started."""
+    loop_type = dsl.type_of(rule.nt)
+    body_type = dsl.type_of(rule.body_nt)
+
+    def type_checks(variant: str) -> bool:
+        if rule.kind == "for":
+            return body_type == return_type
+        if variant in ("forward", "reverse"):
+            return (
+                loop_type.is_list
+                and body_type == loop_type.element_type()
+                and types_compatible(return_type, loop_type)
+            )
+        if variant == "split":
+            return loop_type == STRING and body_type == STRING
+        return False
+
+    return tuple(v for v in rule.variants if type_checks(v))
+
+
+class _CountedSearches:
+    """A rule's body searches, counted for its ``dbs.loops.rule`` span."""
+
+    def __init__(self, synthesize_body: SubSynthesizer):
+        self.synthesize_body = synthesize_body
+        self.started = 0
+        self.found = 0
+        self.expressions = 0
+
+    def __call__(
+        self, body_sig: Signature, body_examples: Sequence[Example], start_nt: str
+    ) -> Optional[Expr]:
+        spent = getattr(self.synthesize_body, "expressions", 0)
+        self.started += 1
+        body = self.synthesize_body(body_sig, body_examples, start_nt)
+        self.expressions += getattr(self.synthesize_body, "expressions", 0) - spent
+        if body is not None:
+            self.found += 1
+        return body
+
+
 def run_loop_strategies(
     dsl: Dsl,
     signature: Signature,
     examples: Sequence[Example],
     synthesize_body: SubSynthesizer,
 ) -> List[LoopCandidate]:
-    """Run every loop rule of the DSL; returns assembled candidates."""
+    """Run every loop rule of the DSL whose hypothesis type-checks
+    (:func:`typed_variants`); returns assembled candidates."""
     candidates: List[LoopCandidate] = []
     if not examples:
         return candidates
@@ -146,59 +208,38 @@ def run_loop_strategies(
             "dbs.loops.rule", kind=rule.kind, nt=rule.nt
         ) as span:
             before = len(candidates)
-            if rule.kind == "foreach":
-                candidates.extend(
-                    _foreach_candidates(
-                        dsl, signature, examples, rule, synthesize_body
+            variants = typed_variants(dsl, rule, signature.return_type)
+            searches = _CountedSearches(synthesize_body)
+            for variant in variants:
+                if rule.kind == "for":
+                    found = _for_candidates(signature, examples, rule, searches)
+                elif variant == "split":
+                    found = _foreach_over_split_strings(
+                        signature, examples, rule, searches
                     )
-                )
-            elif rule.kind == "for":
-                candidates.extend(
-                    _for_candidates(
-                        dsl, signature, examples, rule, synthesize_body
+                else:
+                    found = _foreach_over_lists(
+                        dsl,
+                        signature,
+                        examples,
+                        rule,
+                        searches,
+                        reverse=(variant == "reverse"),
                     )
-                )
-            span.set(candidates=len(candidates) - before)
+                candidates.extend(found)
+            span.set(
+                candidates=len(candidates) - before,
+                variants=list(variants),
+                skipped=len(rule.variants) - len(variants),
+                searches=searches.started,
+                search_expressions=searches.expressions,
+                bodies=searches.found,
+            )
     return candidates
 
 
 # ---------------------------------------------------------------------
 # FOREACH
-
-
-def _foreach_candidates(
-    dsl: Dsl,
-    signature: Signature,
-    examples: Sequence[Example],
-    rule: LoopRule,
-    synthesize_body: SubSynthesizer,
-) -> List[LoopCandidate]:
-    out: List[LoopCandidate] = []
-    loop_type = dsl.type_of(rule.nt)
-    body_type = dsl.type_of(rule.body_nt)
-    for variant in rule.variants:
-        if variant in ("forward", "reverse"):
-            if not loop_type.is_list:
-                continue
-            out.extend(
-                _foreach_over_lists(
-                    dsl,
-                    signature,
-                    examples,
-                    rule,
-                    synthesize_body,
-                    reverse=(variant == "reverse"),
-                )
-            )
-        elif variant == "split":
-            if loop_type != STRING or body_type != STRING:
-                continue
-            out.extend(
-                _foreach_over_split_strings(
-                    dsl, signature, examples, rule, synthesize_body
-                )
-            )
-    return out
 
 
 def _foreach_over_lists(
@@ -211,8 +252,6 @@ def _foreach_over_lists(
 ) -> List[LoopCandidate]:
     out: List[LoopCandidate] = []
     out_elem = dsl.type_of(rule.nt).element_type()
-    if dsl.type_of(rule.body_nt) != out_elem:
-        return out
     for pname, pty in signature.params:
         if not pty.is_list:
             continue
@@ -285,7 +324,6 @@ def _decompose_foreach(
 
 
 def _foreach_over_split_strings(
-    dsl: Dsl,
     signature: Signature,
     examples: Sequence[Example],
     rule: LoopRule,
@@ -365,7 +403,6 @@ def _foreach_over_split_strings(
 
 
 def _for_candidates(
-    dsl: Dsl,
     signature: Signature,
     examples: Sequence[Example],
     rule: LoopRule,
@@ -373,8 +410,6 @@ def _for_candidates(
 ) -> List[LoopCandidate]:
     out: List[LoopCandidate] = []
     ret_type = signature.return_type
-    if dsl.type_of(rule.body_nt) != ret_type:
-        return out
     for pname, pty in signature.params:
         if pty != INT:
             continue

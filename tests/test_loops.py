@@ -1,5 +1,8 @@
 """Tests for the loop strategies (repro.core.loops, §5.3)."""
 
+import pytest
+
+from repro.core.budget import Budget
 from repro.core.dsl import DslBuilder, Example, Signature
 from repro.core.evaluator import run_program
 from repro.core.expr import Call, Const, Function, Param, Var
@@ -8,8 +11,10 @@ from repro.core.loops import (
     _decompose_for,
     _decompose_foreach,
     run_loop_strategies,
+    typed_variants,
 )
-from repro.core.types import BOOL, INT, STRING, list_of
+from repro.core.types import ANY, BOOL, INT, STRING, list_of
+from repro.domains.pexfun import make_pexfun_dsl
 
 ADD = Function("Add", (INT, INT), INT, lambda a, b: a + b)
 MUL = Function("Mul", (INT, INT), INT, lambda a, b: a * b)
@@ -174,3 +179,103 @@ class TestAssembledCandidates:
             dsl, sig, examples, lambda *a: None
         )
         assert candidates == []
+
+
+class TestTypePredicate:
+    """Only hypotheses that type-check against the signature start a
+    body search (``typed_variants``)."""
+
+    INTS = list_of(INT)
+    STRS = list_of(STRING)
+
+    @staticmethod
+    def _asked(sig, examples):
+        asked = []
+
+        def spy(body_sig, body_examples, start_nt):
+            asked.append((start_nt, body_sig.return_type))
+            return None
+
+        run_loop_strategies(make_pexfun_dsl(), sig, examples, spy)
+        return asked
+
+    def test_list_of_ints_asks_only_the_ints_foreach(self):
+        sig = Signature("P", (("a", self.INTS),), self.INTS)
+        examples = [Example(((3, 5, 4),), (9, 25, 16)), Example(((2,),), (4,))]
+        assert self._asked(sig, examples) == [("int", INT)]
+
+    def test_list_of_strs_asks_only_the_strs_foreach(self):
+        sig = Signature("P", (("a", self.STRS),), self.STRS)
+        examples = [Example((("hi", "bye"),), ("HI", "BYE"))]
+        assert self._asked(sig, examples) == [("str", STRING)]
+
+    def test_predicate_per_rule_kind(self):
+        pexfun = make_pexfun_dsl()
+        rules = {(r.kind, r.nt): r for r in pexfun.loops}
+        foreach_ints = rules[("foreach", "ints")]
+        assert typed_variants(pexfun, foreach_ints, self.INTS) == ("forward",)
+        assert typed_variants(pexfun, foreach_ints, self.STRS) == ()
+        assert typed_variants(pexfun, foreach_ints, ANY) == ("forward",)
+        assert typed_variants(pexfun, rules[("for", "int")], INT) == ("forward",)
+        assert typed_variants(pexfun, rules[("for", "int")], self.INTS) == ()
+        split = split_dsl().loops[0]
+        assert typed_variants(split_dsl(), split, STRING) == ("split",)
+        mixed = DslBuilder("t", start="P")
+        mixed.nt("P", list_of(INT)).nt("e", STRING)
+        mixed.param("e")
+        mixed.foreach("P", body_nt="e", variants=("forward", "reverse"))
+        dsl = mixed.build()
+        # A body of the wrong element type can never fill the list.
+        assert typed_variants(dsl, dsl.loops[0], list_of(INT)) == ()
+
+
+@pytest.mark.trace_smoke
+def test_rule_spans_report_the_loop_searches(tmp_path):
+    from repro.core.tds import tds
+    from repro.obs import JsonlTracer, tracing
+    from repro.obs.report import load_events
+
+    ints = list_of(INT)
+    sig = Signature("P", (("a", ints),), ints)
+    examples = [Example(((3, 5, 4),), (9, 25, 16)), Example(((2,),), (4,))]
+    path = str(tmp_path / "loops.jsonl")
+    tracer = JsonlTracer(path)
+    with tracing(tracer):
+        result = tds(
+            sig,
+            examples,
+            make_pexfun_dsl(),
+            budget_factory=lambda: Budget(max_seconds=20, max_expressions=60_000),
+        )
+    tracer.flush()
+    assert result.success
+    events = load_events(path)
+    spans = {
+        (e["attrs"]["kind"], e["attrs"]["nt"]): e["attrs"]
+        for e in events
+        if e["kind"] == "span" and e["name"] == "dbs.loops.rule"
+    }
+    assert set(spans) == {
+        ("for", "int"), ("for", "str"), ("foreach", "ints"), ("foreach", "strs")
+    }
+    for key in (("for", "int"), ("for", "str"), ("foreach", "strs")):
+        assert spans[key]["variants"] == []
+        assert spans[key]["skipped"] == 1
+        assert spans[key]["searches"] == 0
+        assert spans[key]["search_expressions"] == 0
+        assert spans[key]["bodies"] == 0
+    ints_rule = spans[("foreach", "ints")]
+    assert ints_rule["variants"] == ["forward"]
+    assert ints_rule["skipped"] == 0
+    assert ints_rule["searches"] == 1
+    assert ints_rule["bodies"] == 1 == ints_rule["candidates"]
+    # The spent expressions are exactly the nested body runs' budgets.
+    nested = [
+        e["attrs"]["metrics"]["dbs.expressions"]["value"]
+        for e in events
+        if e["kind"] == "event"
+        and e["name"] == "dbs.metrics"
+        and e["attrs"]["nested"]
+    ]
+    assert len(nested) == 1
+    assert ints_rule["search_expressions"] == nested[0] > 0

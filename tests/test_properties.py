@@ -3,8 +3,11 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import pytest
+
 from repro.core.contexts import contexts_of, subexpressions_of
 from repro.core.dsl import DslBuilder, Example, Signature
+from repro.core.engine.pool import _matches_type
 from repro.core.evaluator import try_run
 from repro.core.expr import (
     Call,
@@ -16,7 +19,7 @@ from repro.core.expr import (
     replace_at,
 )
 from repro.core.rewrite import Rewriter, parse_rule
-from repro.core.types import BOOL, INT
+from repro.core.types import BOOL, INT, STRING, list_of
 from repro.core.values import ERROR, freeze, signature_key, structurally_equal
 from repro.domains.strings import (
     EPSILON,
@@ -26,6 +29,7 @@ from repro.domains.strings import (
     substr,
     token_seq,
 )
+from repro.domains.pexfun import make_pexfun_dsl
 from repro.domains.tables import as_table, fill_down, transpose
 from repro.domains.xmltree import XmlNode, parse_xml, serialize
 from repro.lasy.parser import parse_lasy
@@ -302,3 +306,36 @@ class TestLasyParserProperties:
         )
         program = parse_lasy(source)
         assert [(e.args[0], e.output) for e in program.examples] == pairs
+
+
+# The loop strategies' type predicate (core/loops.py, typed_variants)
+# skips a body search whose nonterminal cannot produce the examples'
+# output type. That is sound only while every production returns a value
+# of its nonterminal's type (or raises, which evaluates to ERROR).
+_PEXFUN_CALLS = [
+    p for p in make_pexfun_dsl().productions if p.kind == "call"
+]
+_PEX_INTS = st.integers(-30, 30)
+_PEX_STRS = st.text(alphabet=" ,-\nabAB12", max_size=8)
+_PEX_VALUES = {
+    INT: _PEX_INTS,
+    STRING: _PEX_STRS,
+    BOOL: st.booleans(),
+    list_of(INT): st.lists(_PEX_INTS, max_size=5).map(tuple),
+    list_of(STRING): st.lists(_PEX_STRS, max_size=5).map(tuple),
+}
+
+
+@pytest.mark.parametrize(
+    "prod", _PEXFUN_CALLS, ids=[p.func.name for p in _PEXFUN_CALLS]
+)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_pexfun_production_returns_its_declared_type(prod, data):
+    func = prod.func
+    args = tuple(data.draw(_PEX_VALUES[t]) for t in func.param_types)
+    try:
+        value = freeze(func.fn(*args))
+    except Exception:
+        return  # an error value, which no example output equals
+    assert _matches_type(value, func.return_type), (func.name, args, value)
