@@ -70,8 +70,11 @@ from .keys import SessionKey, example_fingerprints
 # Journal records are versioned so a layout change can skip (not crash
 # on) old blobs. Version 3: full/touch/checkout records, and blobs that
 # rebuild expressions through their constructors (version-2 blobs carry
-# hashes of the PYTHONHASHSEED that wrote them).
-_JOURNAL_VERSION = 3
+# hashes of the PYTHONHASHSEED that wrote them). Version 4: a pool's
+# syntactic seen-set keys calls as ``(nt, function, args)``
+# (engine.pool.syntactic_key); a version-3 blob's ``(nt, call)`` keys
+# would never match, and a restored session could re-admit a loser.
+_JOURNAL_VERSION = 4
 
 # The attribute a session carries after a full record of it was
 # journaled: ``(token, key, version)``. ``token`` is the object

@@ -34,6 +34,17 @@ handle — lazy components, lambda-taking slots, recursion, unbound LaSy
 callees — fall back to the classic per-candidate pipeline, so both
 modes synthesize identical programs (``tests/test_enum_batched.py``
 holds them to that).
+
+A combination with a free-variable child (a body for ``Loop(λw: e)``
+or ``SplitAndMerge(λpiece: e)``) has no value vector, but it is
+values-first too when its root function is one no rewrite rule can
+match: the pool signs it on its sampled grid, computed by one
+component application over the children's memoized grid columns, and
+builds only the survivors (:meth:`PoolStore.offer_combo`). Such combos
+with a rewrite-rooted or LaSy root, a recursive child, an exempt
+variable set or a broken grid projection are built and offered
+(``tests/test_pool_sampled_batched.py`` holds the two to the same
+pools).
 """
 
 from __future__ import annotations
@@ -58,6 +69,8 @@ from .pool import (
     get_enum_mode,
     set_enum_mode,
 )
+
+_NO_VARS: frozenset = frozenset()
 
 
 def _production_label(prod: Production) -> str:
@@ -400,10 +413,16 @@ class Enumerator:
         def make_expr(children: Tuple[Expr, ...]) -> Expr:
             return Call(func, children, nt)
 
-        return self._batched_combos(nt, split_slots, batch_fn, make_expr)
+        signed = func if store.rewriter.fixed_root(func) else None
+        return self._batched_combos(nt, split_slots, batch_fn, make_expr, signed)
 
     def _batched_combos(
-        self, nt: str, split_slots: List[Tuple], batch_fn, make_expr
+        self,
+        nt: str,
+        split_slots: List[Tuple],
+        batch_fn,
+        make_expr,
+        signed_func=None,
     ) -> List[Expr]:
         """The batched inner loop: per fresh combination, compute the
         candidate's value vector straight from the cached child vectors
@@ -413,12 +432,24 @@ class Enumerator:
         accounting (budget charge, offered/rejected/semantic counters,
         admission filter) mirrors the classic :meth:`PoolStore.offer`
         pipeline step for step, so the two modes exhaust budgets at the
-        same points and leave identical pools."""
+        same points and leave identical pools.
+
+        A combination with a free-variable child has no value vector.
+        Without a recursive child it is gated on its summed child sizes
+        and free variables before anything is built. When the root is
+        ``signed_func`` (a call no rewrite rule can match) it is then
+        values-first too: :meth:`PoolStore.offer_combo` signs it on the
+        sampled grid computed from its children's memoized grid columns
+        and builds only survivors. Any other free-variable combination
+        (a rewrite-rooted or LaSy root, a recursive child, an exempt
+        variable set, a broken grid projection) is built and offered."""
         store = self.store
         examples = store.examples
         n_examples = len(examples)
         budget = store.budget
         dedup = store.options.semantic_dedup
+        if not dedup:
+            signed_func = None
         predicate = store.dsl.admission_filters.get(nt)
         max_size = store.options.max_expr_size
         seen = store._seen_semantic.setdefault(nt, set()) if dedup else ()
@@ -449,22 +480,33 @@ class Enumerator:
                 if entry.values is None:
                     # A child without a cached vector (free lambda
                     # variables in a subtree): the candidate is not
-                    # closed, so the whole classic admission pipeline
-                    # applies to it — but its sampled fingerprint can
-                    # come from the memoized grids instead of a fresh
-                    # per-candidate evaluation. Without a recursive
-                    # child, offer()'s gates apply to the unbuilt combo.
-                    children = tuple(e.expr for e in combo)
-                    if not any(c.has_recurse for c in children):
-                        size = 1
-                        has_vars = False
-                        for child in children:
-                            size += child.size
-                            if child.free_var_set:
-                                has_vars = True
-                        reason = store.gate(nt, size, has_vars)
+                    # closed, so offer()'s pipeline applies, with its
+                    # sampled fingerprint taken from the memoized grids.
+                    size = 1
+                    var_set = _NO_VARS
+                    recurses = False
+                    for part in combo:
+                        child = part.expr
+                        size += child.size
+                        child_vars = child.free_var_set
+                        if child_vars:
+                            var_set = var_set | child_vars if var_set else child_vars
+                        if child.has_recurse:
+                            recurses = True
+                    if not recurses:
+                        reason = store.gate(nt, size, bool(var_set))
                         if reason is not None:
                             store.refuse(nt, reason)
+                            break
+                    children = tuple(e.expr for e in combo)
+                    if signed_func is not None and var_set and not recurses:
+                        grid = store.combo_grid(children, var_set)
+                        if grid is not None:
+                            result = store.offer_combo(
+                                nt, signed_func, children, batch_fn, grid
+                            )
+                            if result is not None:
+                                added.append(result)
                             break
                     expr = make_expr(children)
                     c_materialized.value += 1

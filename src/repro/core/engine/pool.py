@@ -47,6 +47,12 @@ bounded by the per-nonterminal var caps), on the path admission takes in
 the current enumeration mode (the memoized grids when batched), so the
 free-variable corner of the pool stays exactly as deduplicated as a cold
 build would leave it.
+
+The syntactic seen-set keys a call as ``(nt, function, args)``
+(:func:`syntactic_key`), a key the batched enumerator can form before
+the call exists. :meth:`PoolStore.offer_combo` uses it to sign a
+free-variable call whose root no rewrite rule can match on its sampled
+grid, record a semantic loser's key, and build only the survivors.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from ..expr import (
     Call,
     Const,
     Expr,
+    Function,
     Lambda,
     LasyCall,
     Param,
@@ -225,12 +232,14 @@ class PoolStore:
         self._lambda_specs = self._collect_lambda_specs()
         self._sample_cache: Dict[Type, List[Any]] = {}
         # Sampled-environment grids for the batched signature path
-        # (see _grid_values): expression identity -> (expr, cells).
-        # Cleared whenever the examples, harvested samples, or LaSy
-        # bindings change. _proj_cache maps (parent var names, child
-        # var names) to the binding-projection index list; the binding
-        # lists themselves are memoized per var-name tuple.
-        self._grid_cache: Dict[int, Tuple[Expr, Optional[Tuple[Any, ...]]]] = {}
+        # (see _grid_values): expression identity -> (expr, cells), and
+        # (child identity, parent var set) -> (child, column) for the
+        # child columns of _grid_columns. Cleared whenever the examples,
+        # harvested samples, or LaSy bindings change. _proj_cache maps
+        # (parent var names, child var names) to the binding-projection
+        # index list; the binding lists themselves are memoized per
+        # var-name tuple.
+        self._grid_cache: Dict[Any, Tuple[Expr, Optional[Sequence[Any]]]] = {}
         self._proj_cache: Dict[Tuple, Optional[List[int]]] = {}
         self._bindings_cache: Dict[Tuple, List[Dict[str, Any]]] = {}
         # free-variable set -> (var_types, bindings), or None when the
@@ -453,6 +462,16 @@ class PoolStore:
         if self._detailed:
             self._c_rejected.label(reason=reason, nt=nt)
 
+    def _seen_before(self, key: Tuple, nt: str) -> bool:
+        """Whether the syntactic seen-set holds ``key``, counting the
+        syntactic duplicate if so."""
+        if key in self._seen_syntactic:
+            self._c_syntactic.value += 1
+            if self._detailed:
+                self._c_syntactic.label(nt=nt)
+            return True
+        return False
+
     def offer(
         self,
         expr: Expr,
@@ -483,11 +502,8 @@ class PoolStore:
             if self._detailed:
                 self._c_rewrites.label(nt=expr.nt)
             expr = canonical
-        key = (expr.nt, expr)
-        if key in self._seen_syntactic:
-            self._c_syntactic.value += 1
-            if self._detailed:
-                self._c_syntactic.label(nt=expr.nt)
+        key = syntactic_key(expr)
+        if self._seen_before(key, expr.nt):
             return None
         self._seen_syntactic.add(key)
         if values is None and self._closed_evaluable(expr):
@@ -560,33 +576,32 @@ class PoolStore:
     def admit_batched(
         self,
         expr: Expr,
-        values: Tuple[Any, ...],
+        values: Optional[Tuple[Any, ...]],
         sig: Optional[int],
         sig_cols: Optional[Tuple],
     ) -> Optional[Expr]:
-        """Admission tail for a batched-path survivor. The enumerator
-        already charged the budget, checked the size cap, ran the
-        admission filter, and found ``sig`` unseen — candidates on this
-        path are closed and non-recursive by construction (every child
-        carries a cached vector), so the shape and free-variable checks
-        of :meth:`offer` hold statically. What is left is what needs the
-        materialized expression: root canonicalization and syntactic
-        dedup."""
+        """Admission tail for a batched-path survivor. The caller already
+        charged the budget, checked the size caps, ran any admission
+        filter, and found ``sig`` unseen. A closed survivor carries its
+        value vector; a free-variable one (from :meth:`offer_combo`)
+        carries none and takes a slot under the per-nonterminal var cap.
+        Neither is recursive, so :meth:`offer`'s shape check holds
+        statically. What is left is what needs the materialized
+        expression: root canonicalization and syntactic dedup."""
         canonical = self.rewriter.canonicalize_root(expr)
         if canonical is not expr:
             self._c_rewrites.value += 1
             if self._detailed:
                 self._c_rewrites.label(nt=expr.nt)
             expr = canonical
-        key = (expr.nt, expr)
-        if key in self._seen_syntactic:
-            self._c_syntactic.value += 1
-            if self._detailed:
-                self._c_syntactic.label(nt=expr.nt)
+        key = syntactic_key(expr)
+        if self._seen_before(key, expr.nt):
             return None
         self._seen_syntactic.add(key)
         if sig is not None:
             self._seen_semantic.setdefault(expr.nt, set()).add(sig)
+        if expr.free_var_set:
+            self._var_counts[expr.nt] = self._var_counts.get(expr.nt, 0) + 1
         self._admit(
             PoolEntry(
                 expr,
@@ -616,11 +631,8 @@ class PoolStore:
             if self._detailed:
                 self._c_rewrites.label(nt=expr.nt)
             expr = canonical
-        key = (expr.nt, expr)
-        if key in self._seen_syntactic:
-            self._c_syntactic.value += 1
-            if self._detailed:
-                self._c_syntactic.label(nt=expr.nt)
+        key = syntactic_key(expr)
+        if self._seen_before(key, expr.nt):
             return
         self._seen_syntactic.add(key)
         self._shadow(
@@ -633,6 +645,75 @@ class PoolStore:
                 self.example_epoch,
             )
         )
+
+    def combo_grid(
+        self, children: Tuple[Expr, ...], var_set: frozenset
+    ) -> Optional[Tuple]:
+        """What :meth:`offer_combo` needs to sign an unbuilt call over
+        ``children``, whose free variables are ``var_set``:
+        ``(var_types, bindings, columns)``, the columns being the
+        children's memoized grid columns. None declines, and the caller
+        builds the call and offers it instead: the variable set is
+        exempt from sampled signatures, or a child has no column (the
+        27-binding truncation dropped a restriction). Nothing is
+        charged or counted here."""
+        meta = self._grid_meta(var_set)
+        if meta is None:
+            return None
+        var_types, bindings = meta
+        columns = self._grid_columns(children, var_set, var_types, bindings)
+        if columns is None:
+            return None
+        return var_types, bindings, columns
+
+    def offer_combo(
+        self,
+        nt: str,
+        func: Function,
+        children: Tuple[Expr, ...],
+        batch_fn,
+        grid: Tuple,
+    ) -> Optional[Expr]:
+        """:meth:`offer` for a free-variable call ``func(*children)`` that
+        does not exist yet, in :meth:`offer`'s order: the budget charge,
+        the syntactic check, the sampled signature and the semantic
+        check. The caller has gated the combo, and ``func`` is a
+        :meth:`~repro.core.rewrite.Rewriter.fixed_root`, so the unbuilt
+        call is already canonical and its key is
+        :func:`syntactic_key`'s triple. The grid cells come from one
+        ``batch_fn`` call over ``grid``'s columns (:meth:`combo_grid`).
+        A semantic loser is counted and its key recorded, but it is
+        never built; a survivor is built once, its cells memoized, and
+        admitted through :meth:`admit_batched`."""
+        self.budget.charge_expression()
+        self._c_offered.value += 1
+        key = (nt, func, children)
+        if self._seen_before(key, nt):
+            return None
+        var_types, bindings, columns = grid
+        cells = batch_fn(*columns)
+        sig = self._intern_sig(
+            self._combo_signature(nt, func, children, cells, var_types, bindings)
+        )
+        if sig is not None and sig in self._seen_semantic.setdefault(nt, set()):
+            self._seen_syntactic.add(key)
+            self._c_semantic.value += 1
+            if self._detailed:
+                self._c_semantic.label(nt=nt)
+            return None
+        expr = Call(func, children, nt)
+        self._c_materialized.value += 1
+        self._grid_store(id(expr), expr, cells)
+        return self.admit_batched(expr, None, sig, None)
+
+    def _combo_signature(
+        self, nt: str, func: Function, children, cells, var_types, bindings
+    ) -> Optional[Tuple]:
+        """The raw sampled signature of the unbuilt call
+        ``func(*children)`` from its grid ``cells``: what
+        :meth:`_sampled_signature` computes on the built call."""
+        adapter = self.dsl.signature_adapters.get(nt)
+        return self._grid_signature(cells, var_types, bindings, adapter)
 
     def partition(
         self, name: str, newest: int
@@ -942,7 +1023,7 @@ class PoolStore:
                 if not is_stale(entry.expr):
                     kept.append(entry)
                     continue
-                self._seen_syntactic.discard((entry.expr.nt, entry.expr))
+                self._seen_syntactic.discard(syntactic_key(entry.expr))
                 if entry.sig is not None:
                     self._seen_semantic.get(nt, set()).discard(entry.sig)
                 report["pruned"] += 1
@@ -953,7 +1034,7 @@ class PoolStore:
             survivors = []
             for entry in bucket:
                 if is_stale(entry.expr):
-                    self._seen_syntactic.discard((entry.expr.nt, entry.expr))
+                    self._seen_syntactic.discard(syntactic_key(entry.expr))
                 else:
                     survivors.append(entry)
             self._shadows[nt] = survivors
@@ -1284,8 +1365,8 @@ class PoolStore:
                 combos = combos[:27]
         return combos
 
-    def _free_var_types(self, expr: Expr) -> Optional[List[Tuple[str, Type]]]:
-        names = sorted(free_vars(expr))
+    def _var_types(self, var_set: frozenset) -> Optional[List[Tuple[str, Type]]]:
+        names = sorted(var_set)
         out: List[Tuple[str, Type]] = []
         for name in names:
             ty = self.dsl.lambda_vars.get(name)
@@ -1375,7 +1456,7 @@ class PoolStore:
             binder_vars = [(p.name, p.type) for p in expr.params]
             if adapter is None:
                 adapter = self.dsl.signature_adapters.get(target.nt)
-        var_types = self._free_var_types(target)
+        var_types = self._var_types(target.free_var_set)
         if var_types is None:
             return None
         if any(not self._var_sample_values(ty) for _, ty in var_types):
@@ -1426,13 +1507,22 @@ class PoolStore:
         grid cannot express delegates to the per-candidate path."""
         if isinstance(expr, Lambda) or expr.has_recurse:
             return self._sampled_signature(expr, adapter)
-        meta = self._grid_meta(expr)
+        meta = self._grid_meta(expr.free_var_set)
         if meta is None:
             return None  # untypeable var / no credible samples: exempt
         var_types, bindings = meta
         cells = self._grid_values(expr)
         if cells is None:
             return self._sampled_signature(expr, adapter)
+        return self._grid_signature(cells, var_types, bindings, adapter)
+
+    def _grid_signature(
+        self, cells: Sequence[Any], var_types, bindings, adapter
+    ) -> Optional[Tuple]:
+        """The sampled signature of a grid's cells: the adapter per cell,
+        the variable names, then :func:`signature_key` — the tail of
+        :meth:`_sampled_signature`. None (exempt) for a callable cell or
+        an unhashable key."""
         values = []
         i = 0
         for example in self.examples:
@@ -1453,25 +1543,24 @@ class PoolStore:
         except TypeError:
             return None
 
-    def _grid_meta(self, expr: Expr) -> Optional[Tuple]:
-        """``(var_types, bindings)`` for an expression's free-variable
-        set, or None when its sampled signature is exempt (a variable
-        the DSL can't type, or one without credible samples). This is
-        the per-candidate prologue of :meth:`_sampled_signature`,
-        memoized per distinct variable set: the enumerator offers
-        thousands of candidates over a handful of variable sets."""
-        key = expr.free_var_set
+    def _grid_meta(self, var_set: frozenset) -> Optional[Tuple]:
+        """``(var_types, bindings)`` for a free-variable set, or None
+        when a sampled signature over it is exempt (a variable the DSL
+        can't type, or one without credible samples). This is the
+        per-candidate prologue of :meth:`_sampled_signature`, memoized
+        per distinct variable set: the enumerator offers thousands of
+        candidates over a handful of variable sets."""
         cache = self._var_meta_cache
-        if key in cache:
-            return cache[key]
-        var_types = self._free_var_types(expr)
+        if var_set in cache:
+            return cache[var_set]
+        var_types = self._var_types(var_set)
         if var_types is None or any(
             not self._var_sample_values(ty) for _, ty in var_types
         ):
             meta = None
         else:
             meta = (var_types, self._grid_bindings(var_types))
-        cache[key] = meta
+        cache[var_set] = meta
         return meta
 
     def _grid_bindings(self, var_types) -> List[Dict[str, Any]]:
@@ -1499,13 +1588,20 @@ class PoolStore:
         if hit is not None and hit[0] is expr:
             return hit[1]
         cells = self._compute_grid(expr)
-        if len(cache) >= _GRID_CACHE_LIMIT:
-            cache.clear()
-        cache[id(expr)] = (expr, cells)
+        self._grid_store(id(expr), expr, cells)
         return cells
 
+    def _grid_store(self, key, expr: Expr, value) -> None:
+        """Memoize ``value`` for ``expr`` in the grid cache, which is
+        cleared wholesale when full."""
+        cache = self._grid_cache
+        if len(cache) >= _GRID_CACHE_LIMIT:
+            cache.clear()
+        cache[key] = (expr, value)
+
     def _compute_grid(self, expr: Expr) -> Optional[Tuple[Any, ...]]:
-        meta = self._grid_meta(expr)
+        var_set = expr.free_var_set
+        meta = self._grid_meta(var_set)
         if meta is None or not meta[0]:
             return None
         var_types, bindings = meta
@@ -1513,13 +1609,8 @@ class PoolStore:
             # Column-wise fast path: apply the component over the
             # children's grids in one batch call, with the children's
             # cells projected onto this expression's binding list.
-            columns = []
-            for child in expr.args:
-                column = self._grid_argument(child, var_types, bindings)
-                if column is None:
-                    break
-                columns.append(column)
-            else:
+            columns = self._grid_columns(expr.args, var_set, var_types, bindings)
+            if columns is not None:
                 batch_fn = compile_batch(expr.func)
                 if batch_fn is not None:
                     return tuple(batch_fn(*columns))
@@ -1528,6 +1619,29 @@ class PoolStore:
         # classic signature semantics — still paid once per distinct
         # expression, not once per candidate.
         return self._grid_eval(expr, bindings)
+
+    def _grid_columns(
+        self, children: Sequence[Expr], var_set: frozenset, var_types, bindings
+    ) -> Optional[List[List[Any]]]:
+        """The children's cell columns aligned with the grid of
+        ``var_set`` (see :meth:`_grid_argument`), or None when one is
+        unavailable. Each column is memoized in the grid cache per
+        (child, parent variable set), so it is built once however many
+        candidates take the child in that position."""
+        cache = self._grid_cache
+        columns = []
+        for child in children:
+            key = (id(child), var_set)
+            hit = cache.get(key)
+            if hit is not None and hit[0] is child:
+                column = hit[1]
+            else:
+                column = self._grid_argument(child, var_types, bindings)
+                self._grid_store(key, child, column)
+            if column is None:
+                return None
+            columns.append(column)
+        return columns
 
     def _grid_argument(
         self, child: Expr, var_types, bindings
@@ -1547,7 +1661,7 @@ class PoolStore:
             for value in values:
                 out.extend([value] * n)
             return out
-        child_meta = self._grid_meta(child)
+        child_meta = self._grid_meta(child.free_var_set)
         if child_meta is None:
             return None
         child_types, child_bindings = child_meta
@@ -1629,9 +1743,7 @@ class PoolStore:
                 value = ERROR
             out.append(value)
         values = tuple(out)
-        if len(cache) >= _GRID_CACHE_LIMIT:
-            cache.clear()
-        cache[id(expr)] = (expr, values)
+        self._grid_store(id(expr), expr, values)
         return values
 
     def _grid_eval(self, expr: Expr, bindings) -> Tuple[Any, ...]:
@@ -1658,6 +1770,17 @@ class PoolStore:
                     value = ERROR
                 cells.append(value)
         return tuple(cells)
+
+
+def syntactic_key(expr: Expr) -> Tuple:
+    """The syntactic seen-set's key for a canonical expression:
+    ``(nt, function, args)`` for a call, which the enumerator can form
+    before the call is built (:meth:`PoolStore.offer_combo`), and
+    ``(nt, expr)`` for anything else. Two calls are equal exactly when
+    their triples are, so membership is that of the expressions."""
+    if type(expr) is Call:
+        return (expr.nt, expr.func, expr.args)
+    return (expr.nt, expr)
 
 
 def _mentions_lasy(expr: Expr, names) -> bool:

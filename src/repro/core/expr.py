@@ -52,6 +52,20 @@ class Function:
     fn: Callable[..., Any]
     lazy: bool = False
 
+    def __post_init__(self) -> None:
+        # Hashed on every Call construction and in the pool's syntactic
+        # keys, so computed once.
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.param_types, self.return_type))
+        )
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so a loaded function rehashes
+        # under the loading process's PYTHONHASHSEED (see Expr.__reduce__).
+        return Function, (
+            self.name, self.param_types, self.return_type, self.fn, self.lazy
+        )
+
     @property
     def arity(self) -> int:
         return len(self.param_types)
@@ -61,7 +75,7 @@ class Function:
         return f"{self.return_type} {self.name}({params})"
 
     def __hash__(self) -> int:
-        return hash((self.name, self.param_types, self.return_type))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Function):

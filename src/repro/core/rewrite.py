@@ -175,6 +175,9 @@ _MAX_PASSES = 50
 # are cheap to recompute, eviction bookkeeping is not).
 _ROOT_CACHE_LIMIT = 100_000
 
+# canonicalize_root memo value for a node that is its own canonical form.
+_CANONICAL = object()
+
 
 class Rewriter:
     """Applies a DSL's rewrite rules and constant folding to fixpoint."""
@@ -198,6 +201,7 @@ class Rewriter:
             )
             for rule, kind in self.rules
         ]
+        self._rule_roots = {root for _, _, root in self._indexed_rules}
         self._functions: Dict[str, Function] = {
             fn.name: fn for fn in dsl.functions()
         }
@@ -209,7 +213,7 @@ class Rewriter:
         # hash-consed nodes cache their hash, and the cache lives on a
         # per-DSL Rewriter, so same-named functions from another DSL
         # can never alias in here.
-        self._root_cache: Dict[Expr, Expr] = {}
+        self._root_cache: Dict[Expr, Any] = {}
 
     # -- public --------------------------------------------------------
 
@@ -240,20 +244,31 @@ class Rewriter:
         """
         cached = self._root_cache.get(expr)
         if cached is not None:
-            return cached
+            # A node that is its own canonical form comes back as itself,
+            # not as the equal node first memoized: the pool counts a
+            # different object as a rewrite.
+            return expr if cached is _CANONICAL else cached
         current = expr
         for _ in range(_MAX_PASSES):
             rewritten = self._fold_constants(self._apply_rules(current))
             if rewritten == current:
                 if len(self._root_cache) >= _ROOT_CACHE_LIMIT:
                     self._root_cache.clear()
-                self._root_cache[expr] = current
+                self._root_cache[expr] = _CANONICAL if current is expr else current
                 return current
             current = rewritten
         raise RewriteCycleError(
             f"rewrite rules of DSL {self.dsl.name!r} did not converge "
             f"on {expr}"
         )
+
+    def fixed_root(self, func: Function) -> bool:
+        """Whether no rule can match a call to ``func`` at its root: none
+        is rooted at ``func`` and none has a variable or constant root.
+        Constant folding does not fire on a call with a non-constant
+        argument either, so such a call over canonical children is its
+        own canonical form, and the pool can key it before it is built."""
+        return None not in self._rule_roots and func.name not in self._rule_roots
 
     # -- internals -----------------------------------------------------
 

@@ -177,10 +177,10 @@ def test_replay_skips_records_it_cannot_read(tmp_path):
         live = cache.keys()
     with Journal(path) as journal:
         journal.append([1, 2])
-        journal.append({"v": 3, "kind": "full", "key": "no blob", "cost": 1.0})
-        journal.append({"v": 3, "kind": "touch", "key": ["unhashable"], "cost": 1.0})
-        journal.append({"v": 3, "kind": "full", "key": "bad cost", "cost": "x", "blob": ""})
-        journal.append({"v": 3, "kind": "full", "key": "bad blob", "cost": 0.0, "blob": "?"})
+        journal.append({"v": 4, "kind": "full", "key": "no blob", "cost": 1.0})
+        journal.append({"v": 4, "kind": "touch", "key": ["unhashable"], "cost": 1.0})
+        journal.append({"v": 4, "kind": "full", "key": "bad cost", "cost": "x", "blob": ""})
+        journal.append({"v": 4, "kind": "full", "key": "bad blob", "cost": 0.0, "blob": "?"})
     with SessionCache(capacity=2, metrics=Registry(), journal_path=path) as restored:
         assert restored.keys() == live
         assert restored.stats()["restored"] == 1
@@ -254,17 +254,29 @@ import pickle
 import sys
 from dataclasses import fields
 from repro.core.engine.cache import SessionCache
-from repro.core.expr import Expr
+from repro.core.expr import Call, Expr, Function
 from repro.domains.xmltree import parse_xml
 
 
 def fresh(value):
-    # Build a copy from scratch, every node through its constructor.
-    if isinstance(value, Expr):
+    # Build a copy from scratch, every node and component function
+    # through its constructor.
+    if isinstance(value, (Expr, Function)):
         return type(value)(*[fresh(getattr(value, f.name)) for f in fields(value) if f.init])
     if isinstance(value, tuple):
         return tuple(fresh(v) for v in value)
     return value
+
+
+def fresh_key(key):
+    # The key of a freshly built copy of the keyed expression: calls are
+    # keyed (nt, function, args), anything else (nt, expr).
+    if len(key) == 3:
+        nt, func, args = key
+        call = fresh(Call(func, args, nt))
+        return (call.nt, call.func, call.args)
+    nt, expr = key
+    return (nt, fresh(expr))
 
 
 with SessionCache(capacity=8, journal_path=sys.argv[1]) as cache:
@@ -272,12 +284,14 @@ with SessionCache(capacity=8, journal_path=sys.argv[1]) as cache:
 pool = session._engine.pool
 nodes = [node for entries in pool._entries.values() for entry in entries
          for node in entry.expr.walk()]
-stale = [e for e in nodes if e._hash != hash((type(e).__name__,) + e._identity())]
-missing = [e for nt, e in pool._seen_syntactic if (nt, fresh(e)) not in pool._seen_syntactic]
+stale = [e for e in nodes if e._hash != hash((type(e).__name__,) + e._identity())
+         or (isinstance(e, Call) and hash(e.func) != hash(fresh(e.func)))]
+missing = [key for key in pool._seen_syntactic if fresh_key(key) not in pool._seen_syntactic]
 with open(sys.argv[1] + ".xml", "rb") as fh:
     xml_equal = pickle.load(fh) == parse_xml({XML!r})
 print(json.dumps({{"nodes": len(nodes), "stale": len(stale), "xml_equal": xml_equal,
-                  "seen": len(pool._seen_syntactic), "missing": len(missing)}}))
+                  "seen": len(pool._seen_syntactic), "missing": len(missing),
+                  "call_keys": sum(len(key) == 3 for key in pool._seen_syntactic)}}))
 """
 
 
@@ -305,6 +319,7 @@ def test_restore_under_another_hash_seed(tmp_path):
     _run(WRITER, path, hash_seed=1)
     report = json.loads(_run(READER, path, hash_seed=2).strip().splitlines()[-1])
     assert report["nodes"] > 0 and report["seen"] > 0
+    assert report["call_keys"] > 0
     assert report["stale"] == 0
     assert report["missing"] == 0
     assert report["xml_equal"]

@@ -23,6 +23,14 @@ Two comparisons, on the real strings and pexfun domains:
   (the identical-candidate-stream invariant of ``test_enum_batched``);
   dedup *counters* legitimately differ across modes because the batched
   pipeline dedups value vectors before materializing expressions.
+
+A free-variable call whose root no rewrite rule can match is signed
+before it is built (``PoolStore.combo_grid`` and ``offer_combo``). On
+the strings case, that path is held to the build-then-offer path it
+replaces (``combo_grid`` declining): the same pools, seen-sets and
+counters, but for the expressions it no longer materializes; also
+across a budget-truncated generation and its warm redo. And a semantic
+loser on that path is never built at all.
 """
 
 import pytest
@@ -31,6 +39,7 @@ from repro.core.budget import Budget
 from repro.core.dbs import DbsStats
 from repro.core.dsl import Example, Signature
 from repro.core.engine import Enumerator, PoolStore
+from repro.core.expr import Call, Lambda
 from repro.core.types import STRING
 from repro.domains.registry import get_domain
 from tests.test_enum_batched import enum_path
@@ -136,16 +145,164 @@ def _counters(stats):
 def test_fast_sampled_signatures_match_reference(name, monkeypatch):
     """Within batched mode, grids vs per-candidate signatures: only the
     fingerprint computation differs, so pool state *and* every counter
-    must be byte-identical."""
+    must be byte-identical. The reference signs both the built
+    candidates and the unbuilt combos of ``offer_combo`` per candidate,
+    on the built call."""
     _, fast_stats, fast_stages = _run(name, "batched")
     monkeypatch.setattr(
         PoolStore,
         "_sampled_signature_fast",
         lambda self, expr, adapter: self._sampled_signature(expr, adapter),
     )
+
+    def per_candidate(self, nt, func, children, cells, var_types, bindings):
+        adapter = self.dsl.signature_adapters.get(nt)
+        return self._sampled_signature(Call(func, children, nt), adapter)
+
+    monkeypatch.setattr(PoolStore, "_combo_signature", per_candidate)
     _, ref_stats, ref_stages = _run(name, "batched")
     assert fast_stages == ref_stages
     assert _counters(fast_stats) == _counters(ref_stats)
+
+
+def _decline_unbuilt(monkeypatch):
+    """Make every free-variable combo take build-then-offer."""
+    monkeypatch.setattr(
+        PoolStore, "combo_grid", lambda self, children, var_set: None
+    )
+
+
+def _split_materialized(stats):
+    counters = _counters(stats)
+    return counters, counters.pop("enum.lazy_materialized")
+
+
+def test_unbuilt_combos_match_build_then_offer(monkeypatch):
+    """Signing free-variable combos before building them changes no pool
+    state and no counter after any stage, except how many expressions
+    were materialized: fewer, because losers are never built."""
+    pool, stats, stages = _run("strings", "batched")
+    seen = pool._seen_syntactic
+    _decline_unbuilt(monkeypatch)
+    ref_pool, ref_stats, ref_stages = _run("strings", "batched")
+    assert stages == ref_stages
+    assert seen == ref_pool._seen_syntactic
+    counters, built = _split_materialized(stats)
+    ref_counters, ref_built = _split_materialized(ref_stats)
+    assert counters == ref_counters
+    assert built < ref_built
+
+
+def _truncated_redo():
+    """A generation cut short by the expression budget, then the warm
+    path a session takes: bind a fresh budget (which arms the redo),
+    extend the examples, re-seed, and advance. Returns the pool state
+    and seen-set after the cut and after the redo, and the stats."""
+    dsl, signature, examples, extra = _domain_case("strings")
+    stats = DbsStats()
+    pool = PoolStore(
+        dsl,
+        signature,
+        list(examples),
+        budget=Budget(max_seconds=120.0, max_expressions=3_000),
+        metrics=stats.registry,
+    )
+    enumerator = Enumerator(pool)
+    states = []
+    with enum_path("batched"):
+        enumerator.seed([])
+        while not pool.exhausted:
+            enumerator.advance()
+        assert pool.incomplete_generation
+        states.append((_pool_state(pool), set(pool._seen_syntactic)))
+        pool.bind(
+            stats.registry, Budget(max_seconds=120.0, max_expressions=20_000)
+        )
+        pool.extend_examples([extra])
+        enumerator.seed([])
+        enumerator.advance()
+        assert pool.last_generation_redone
+        states.append((_pool_state(pool), set(pool._seen_syntactic)))
+    return states, stats
+
+
+def test_truncated_generation_redo_blocks_the_same_losers(monkeypatch):
+    """The redo of a budget-truncated generation re-offers its combos
+    over the extended examples. Free-variable losers of the cut
+    generation must stay blocked by their recorded syntactic keys,
+    exactly as the hash-consed losers of build-then-offer are: a loser
+    whose key were missing could now win on the new example."""
+    states, stats = _truncated_redo()
+    _decline_unbuilt(monkeypatch)
+    ref_states, ref_stats = _truncated_redo()
+    assert states == ref_states
+    counters, built = _split_materialized(stats)
+    ref_counters, ref_built = _split_materialized(ref_stats)
+    assert counters == ref_counters
+    assert built < ref_built
+
+
+def _advance_recording_calls(mode, monkeypatch):
+    """Advance a strings pool once, then once more while recording every
+    ``Call`` constructed; returns the pool and the recorded calls."""
+    dsl, signature, examples, _ = _domain_case("strings")
+    pool = PoolStore(
+        dsl,
+        signature,
+        list(examples),
+        budget=Budget(max_seconds=120.0, max_expressions=20_000),
+    )
+    enumerator = Enumerator(pool)
+    built = []
+    original = Call.__post_init__
+
+    def recording(self):
+        original(self)
+        built.append(self)
+
+    with enum_path(mode):
+        enumerator.seed([])
+        enumerator.advance()
+        with monkeypatch.context() as patch:
+            patch.setattr(Call, "__post_init__", recording)
+            enumerator.advance()
+    return pool, built
+
+
+def _unadmitted_unbuilt_kind(pool, built):
+    """Calls built during the advance that the values-first path covers
+    (an eager component over no lambda, free variables, no recursion, a
+    root no rewrite rule matches) but that did not enter the pool."""
+    # Every strings rule is rooted at a named function.
+    rooted = {rule.lhs.func_name for rule in pool.dsl.rewrites}
+    admitted = {
+        id(entry.expr)
+        for entries in pool._entries.values()
+        for entry in entries
+    }
+    return [
+        call
+        for call in built
+        if call.free_var_set
+        and not call.has_recurse
+        and not call.func.lazy
+        and not any(isinstance(arg, Lambda) for arg in call.args)
+        and call.func.name not in rooted
+        and id(call) not in admitted
+    ]
+
+
+def test_semantic_losers_are_never_built(monkeypatch):
+    """Classic enumeration builds every free-variable candidate, and many
+    of them lose semantic dedup. Batched enumeration over the same
+    generation builds only the ones it admits."""
+    classic_pool, classic_built = _advance_recording_calls(
+        "classic", monkeypatch
+    )
+    assert _unadmitted_unbuilt_kind(classic_pool, classic_built)
+    pool, built = _advance_recording_calls("batched", monkeypatch)
+    assert any(call.free_var_set for call in built)
+    assert _unadmitted_unbuilt_kind(pool, built) == []
 
 
 @pytest.mark.parametrize("name", ["strings", "pexfun"])
