@@ -1,5 +1,7 @@
 """Enumeration-engine microbenchmark: batched value-vector candidate
-generation vs. the classic per-expression pipeline.
+generation vs. the classic per-expression pipeline, the reference the
+engine keeps for differential tests (reached through the same seam as
+``tests/test_enum_batched.enum_path``; see :func:`_enum_path`).
 
 Run directly (writes ``BENCH_enum.json`` at the repo root, which
 docs/performance.md and EXPERIMENTS.md reference)::
@@ -24,6 +26,7 @@ Two sections:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -45,6 +48,28 @@ E2E_REPS = 2
 # both modes); summed wall-clock damps per-task scheduler noise that
 # would swamp any single benchmark's timing on a small host.
 E2E_BENCHES = ["initials", "extract-domain", "date-reorder", "abbrev-dotted"]
+
+
+@contextlib.contextmanager
+def _enum_path(mode):
+    """Run the block on one enumeration path: ``"batched"`` is the
+    engine as it ships; ``"classic"`` makes no production batchable and
+    signs free-variable candidates per candidate instead of on the
+    memoized grids. Both class attributes are restored after."""
+    if mode == "batched":
+        yield
+        return
+    from repro.core.engine import Enumerator, PoolStore
+
+    batchable = Enumerator._batchable
+    sampled = PoolStore._sampled_signature_fast
+    Enumerator._batchable = lambda self, prod: False
+    PoolStore._sampled_signature_fast = PoolStore._sampled_signature
+    try:
+        yield
+    finally:
+        Enumerator._batchable = batchable
+        PoolStore._sampled_signature_fast = sampled
 
 
 def _micro_dsl():
@@ -83,7 +108,6 @@ def _cands_per_sec(mode):
     from repro.core.dbs import DbsStats
     from repro.core.dsl import Signature
     from repro.core.engine import Enumerator, PoolStore
-    from repro.core.engine.enumerator import set_enum_mode
     from repro.core.types import INT, STRING
 
     signature = Signature("f", (("s", STRING), ("n", INT)), STRING)
@@ -101,15 +125,12 @@ def _cands_per_sec(mode):
             metrics=DbsStats().registry,
         )
         enumerator = Enumerator(pool)
-        previous = set_enum_mode(mode)
-        try:
+        with _enum_path(mode):
             enumerator.seed([])
             start = perf_counter()
             for _ in range(GENERATIONS):
                 enumerator.advance()
             elapsed = perf_counter() - start
-        finally:
-            set_enum_mode(previous)
         candidates = budget.expressions
         rate = candidates / elapsed
         if rate > best:
@@ -136,7 +157,6 @@ def bench_e2e_strings():
     import gc
 
     from repro.core.budget import Budget
-    from repro.core.engine.enumerator import set_enum_mode
     from repro.suites import ALL_SUITES
 
     benchmarks = [
@@ -150,8 +170,7 @@ def bench_e2e_strings():
     for rep in range(E2E_REPS + 1):
         for mode in ("classic", "batched"):
             gc.collect()
-            previous = set_enum_mode(mode)
-            try:
+            with _enum_path(mode):
                 start = perf_counter()
                 for benchmark in benchmarks:
                     result = benchmark.run(budget_factory=budget)
@@ -159,8 +178,6 @@ def bench_e2e_strings():
                         f"{benchmark.name} failed in {mode} mode"
                     )
                 elapsed = perf_counter() - start
-            finally:
-                set_enum_mode(previous)
             if rep:
                 best[mode] = min(best[mode], elapsed)
     classic, batched = best["classic"], best["batched"]

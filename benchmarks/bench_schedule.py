@@ -26,7 +26,8 @@ Honesty guards:
 
 * on the timeout-free (easy) tasks, the adaptive run's programs must
   be byte-identical to FIFO's (the scheduler correctness bar;
-  ``tests/test_schedule.py`` holds it across domains and enum modes);
+  ``tests/test_schedule.py`` holds it across domains and enumeration
+  paths);
 * every scheduler must *solve* every task — a scheduler that went fast
   by failing would abort the bench;
 * the staircase walls are wide enough that FIFO also succeeds: the

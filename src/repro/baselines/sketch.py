@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.budget import Budget
 from ..core.dbs import DbsOptions, dbs
@@ -65,35 +65,3 @@ def sketch_synthesize(
         elapsed=time.monotonic() - start,
         expressions=result.stats.expressions,
     )
-
-
-def sketch_on_benchmarks(
-    benchmarks,
-    budget_seconds: float = 30.0,
-) -> List[SketchResult]:
-    """Run the baseline over a suite (used by the E1/E3 experiments)."""
-    from ..domains.registry import get_domain
-    from ..lasy.parser import parse_lasy
-    from ..lasy.runner import _coerce_example
-
-    out: List[SketchResult] = []
-    for benchmark in benchmarks:
-        program = parse_lasy(benchmark.source)
-        domain = get_domain(benchmark.domain)
-        dsl = domain.dsl()
-        # Sketch gets the complete example set of the primary function.
-        primary = program.declarations[-1]
-        examples = [
-            _coerce_example(domain, primary.signature, stmt)
-            for stmt in program.examples
-            if stmt.func_name == primary.name
-        ]
-        out.append(
-            sketch_synthesize(
-                primary.signature,
-                examples,
-                dsl,
-                budget=Budget(max_seconds=budget_seconds),
-            )
-        )
-    return out

@@ -439,14 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         "line on stderr",
     )
     parser.add_argument(
-        "--enum",
-        choices=("batched", "classic"),
-        default=None,
-        help="enumeration path: batched value-vector candidates "
-        "(default) or the classic per-expression pipeline "
-        "(equivalent to REPRO_ENUM; mainly for A/B timing)",
-    )
-    parser.add_argument(
         "--schedule",
         choices=("fifo", "adaptive"),
         default=None,
@@ -657,18 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "enum", None):
-        # Set both the in-process switch and the environment so --jobs
-        # worker processes inherit the same enumeration path.
-        import os
-
-        from .core.engine.enumerator import set_enum_mode
-
-        os.environ["REPRO_ENUM"] = args.enum
-        set_enum_mode(args.enum)
     if getattr(args, "schedule", None):
         # Experiment workers and nested tds() calls resolve the
-        # scheduler through the environment, same as REPRO_ENUM.
+        # scheduler through the environment.
         import os
 
         os.environ["REPRO_TDS_SCHEDULE"] = args.schedule

@@ -544,7 +544,7 @@ def _compile_hole(expr: Hole) -> CompiledFn:
 
 
 # ---------------------------------------------------------------------
-# Batched value-vector application (the enumerator's batched mode).
+# Batched value-vector application (the enumerator's batched expansion).
 #
 # One closure per *component*, applied column-wise over the cached child
 # value vectors — no Expr, no Env, no fuel, exactly the semantics of the
@@ -567,17 +567,11 @@ _batch_cache: Dict[int, Tuple[Any, BatchFn]] = {}
 _lasy_batch_cache: Dict[int, Tuple[Any, BatchFn]] = {}
 
 
-def clear_batch_cache() -> None:
-    """Drop memoized batch appliers (tests and long-lived processes)."""
-    _batch_cache.clear()
-    _lasy_batch_cache.clear()
-
-
 def compile_batch(func) -> Optional[BatchFn]:
     """Column-wise applier for an eager component, or None for lazy
     components (their arguments must be thunks evaluated under an Env,
-    which a value vector cannot provide — the enumerator falls back to
-    the classic path for those productions)."""
+    which a value vector cannot provide — the enumerator builds and
+    offers those productions' candidates one at a time)."""
     if func.lazy:
         return None
     entry = _batch_cache.get(id(func))

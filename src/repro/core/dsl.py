@@ -240,9 +240,6 @@ class Dsl:
         """Grammar rule count, the paper's measure of DSL size (§5.1)."""
         return len(self.productions) + len(self.conditionals) + len(self.loops)
 
-    def conditional_nts(self) -> Dict[str, ConditionalRule]:
-        return {rule.nt: rule for rule in self.conditionals}
-
     def functions(self) -> List[Function]:
         seen: Dict[str, Function] = {}
         for prod in self.productions:

@@ -19,21 +19,21 @@ sketch-like baseline) the grammar is ignored and argument slots accept
 any expression of a compatible *type*, exactly the weaker search the
 paper compares against.
 
-**Batched mode** (the default; ``REPRO_ENUM=classic`` or
-:func:`set_enum_mode` selects the reference path). For an eager call
-production every child entry already carries its cached value vector,
-so the candidate's vector is obtained by one column-wise application of
-the component (:func:`repro.core.compile.compile_batch`) — no ``Expr``
-is allocated, hashed, canonicalized, or walked first. Observational
-duplicates are rejected on the interned signature of that vector alone;
-the expression is materialized lazily from the ``(production,
-child-entries)`` tuple only for survivors (and for semantic losers that
-still fit the revival shadow list, which must be hash-consed exactly as
-the classic path leaves them). Productions the batch compiler cannot
-handle — lazy components, lambda-taking slots, recursion, unbound LaSy
-callees — fall back to the classic per-candidate pipeline, so both
-modes synthesize identical programs (``tests/test_enum_batched.py``
-holds them to that).
+**Batched expansion.** For an eager call production every child entry
+already carries its cached value vector, so the candidate's vector is
+obtained by one column-wise application of the component
+(:func:`repro.core.compile.compile_batch`) — no ``Expr`` is allocated,
+hashed, canonicalized, or walked first. Observational duplicates are
+rejected on the interned signature of that vector alone; the expression
+is materialized lazily from the ``(production, child-entries)`` tuple
+only for survivors (and for semantic losers that still fit the revival
+shadow list, which must be hash-consed exactly as the per-candidate
+pipeline leaves them). Productions the batch compiler cannot handle —
+lazy components, lambda-taking slots, recursion, unbound LaSy callees —
+take the per-candidate pipeline (build, then :meth:`PoolStore.offer`).
+That pipeline is also the reference: ``tests/test_enum_batched.py``
+forces it onto every production and holds both to the same pools and
+programs.
 
 A combination with a free-variable child (a body for ``Loop(λw: e)``
 or ``SplitAndMerge(λpiece: e)``) has no value vector, but it is
@@ -61,13 +61,12 @@ from ..evaluator import check_value_size
 from ..expr import Call, Const, Expr, Lambda, LasyCall, Param, Recurse, Var, free_vars
 from ..types import types_compatible
 from ..values import ERROR, freeze
-# The process-wide mode switch lives in pool.py and is re-exported here.
 from .pool import (
+    _MAX_EXPR_SIZE,
     PoolEntry,
     PoolStore,
     _value_type,
-    get_enum_mode,
-    set_enum_mode,
+    split_generations,
 )
 
 _NO_VARS: frozenset = frozenset()
@@ -112,18 +111,12 @@ class Enumerator:
         # Argument-slot generation splits, valid for one advance only
         # (see _split_candidates).
         self._slot_cache: Dict[Any, Tuple] = {}
-        # True while a batched-mode advance is in flight: offers from
-        # this enumerator may then compute sampled fingerprints from the
-        # pool's memoized grids (classic mode stays the reference path).
-        self._fast_sampling = False
 
     def __getstate__(self):
         # The slot cache is valid for one advance only and holds raw
-        # entry-list aliases; never ship it. An advance is never in
-        # flight across a pickle, so the sampling flag resets too.
+        # entry-list aliases; never ship it.
         state = self.__dict__.copy()
         state["_slot_cache"] = {}
-        state["_fast_sampling"] = False
         return state
 
     # -- seeding -------------------------------------------------------
@@ -227,8 +220,6 @@ class Enumerator:
             return
         store.exhausted = False
         tracer = get_tracer()
-        batched = get_enum_mode() == "batched"
-        self._fast_sampling = batched
         self._slot_cache.clear()
         store.clear_partitions()
         try:
@@ -242,7 +233,7 @@ class Enumerator:
                 )
                 prog = get_progress()
                 for prod in ordered:
-                    use_batched = batched and self._batchable(prod)
+                    use_batched = self._batchable(prod)
                     if tracer.enabled:
                         batch = self._expand_traced(prod, tracer, use_batched)
                     else:
@@ -292,7 +283,7 @@ class Enumerator:
     def _expand_traced(
         self, prod: Production, tracer, batched: bool = False
     ) -> List[Expr]:
-        """One production under a ``dbs.enumerate`` (classic) or
+        """One production under a ``dbs.enumerate`` (per-candidate) or
         ``dbs.enum.batched`` span — distinct names so trace reports
         split the two paths' time. The ``offered`` count is attached
         even when the budget dies mid-expansion, so the report's
@@ -389,9 +380,7 @@ class Enumerator:
                 values = None
             if expr is None:
                 continue
-            result = store.offer(
-                expr, values, sampled_fast=self._fast_sampling
-            )
+            result = store.offer(expr, values)
             if result is not None:
                 added.append(result)
         return added
@@ -430,8 +419,8 @@ class Enumerator:
         signature; only survivors (and shadow-worthy semantic losers)
         are materialized as expressions via ``make_expr``. Candidate
         accounting (budget charge, offered/rejected/semantic counters,
-        admission filter) mirrors the classic :meth:`PoolStore.offer`
-        pipeline step for step, so the two modes exhaust budgets at the
+        admission filter) mirrors the per-candidate :meth:`PoolStore.offer`
+        pipeline step for step, so the two paths exhaust budgets at the
         same points and leave identical pools.
 
         A combination with a free-variable child has no value vector.
@@ -451,7 +440,7 @@ class Enumerator:
         if not dedup:
             signed_func = None
         predicate = store.dsl.admission_filters.get(nt)
-        max_size = store.options.max_expr_size
+        max_size = _MAX_EXPR_SIZE
         seen = store._seen_semantic.setdefault(nt, set()) if dedup else ()
         detailed = store._detailed
         c_offered = store._c_offered
@@ -510,7 +499,7 @@ class Enumerator:
                             break
                     expr = make_expr(children)
                     c_materialized.value += 1
-                    result = store.offer(expr, sampled_fast=True)
+                    result = store.offer(expr)
                     if result is not None:
                         added.append(result)
                     break
@@ -592,14 +581,12 @@ class Enumerator:
 
     def _expand_untyped(self) -> List[Expr]:
         store = self.store
+        newest = store.generation - 1
         added: List[Expr] = []
         for func in store.dsl.functions():
-            slots: List[List[PoolEntry]] = []
-            feasible = True
-            has_lambda = False
+            split_slots = []
             for pty in func.param_types:
                 if pty.is_function:
-                    has_lambda = True
                     candidates = self._lambda_candidates(pty)
                 else:
                     candidates = [
@@ -608,15 +595,12 @@ class Enumerator:
                         if types_compatible(pty, t)
                         for entry in entries
                     ]
-                if not candidates:
-                    feasible = False
-                    break
-                slots.append(candidates)
-            if not feasible:
-                continue
-            fast_path = not func.lazy and not has_lambda
-            for combo in self._fresh_combinations(slots):
-                nt = store._type_nt(func.return_type)
+                split_slots.append(split_generations(candidates, newest))
+            fast_path = not func.lazy and not any(
+                pty.is_function for pty in func.param_types
+            )
+            nt = store._type_nt(func.return_type)
+            for combo in self._split_combinations(split_slots):
                 expr = Call(func, tuple(e.expr for e in combo), nt)
                 values = self._apply_values(func, combo) if fast_path else None
                 result = store.offer(expr, values)
@@ -688,28 +672,22 @@ class Enumerator:
                 for n, t in zip(arg.var_names, arg.var_types)
             )
             nt = lambda_nt(arg)
-            var_names = set(arg.var_names)
-            older = []
-            fresh = []
-            upto = []
-            for body_nt in store.dsl.expansion(arg.body_nt):
-                for entry in store._entries.get(body_nt, []):
-                    generation = entry.generation
-                    if generation > newest:
-                        continue
-                    if arg.require_var_use and not (
-                        free_vars(entry.expr) & var_names
-                    ):
-                        continue
-                    wrapped = PoolEntry(
-                        Lambda(params, entry.expr, nt), generation
-                    )
-                    upto.append(wrapped)
-                    if generation < newest:
-                        older.append(wrapped)
-                    else:
-                        fresh.append(wrapped)
-            split = (older, fresh, upto)
+            bodies = [
+                entry
+                for body_nt in store.dsl.expansion(arg.body_nt)
+                for entry in store._entries.get(body_nt, [])
+                if entry.generation <= newest
+            ]
+            if arg.require_var_use:
+                var_names = set(arg.var_names)
+                bodies = [e for e in bodies if free_vars(e.expr) & var_names]
+            split = split_generations(
+                [
+                    PoolEntry(Lambda(params, e.expr, nt), e.generation)
+                    for e in bodies
+                ],
+                newest,
+            )
         self._slot_cache[cache_key] = split
         return split
 
@@ -719,11 +697,10 @@ class Enumerator:
         """All slot combinations containing at least one expression from
         the newest complete generation, over precomputed generation
         splits: slot ``j`` carries the newest element, earlier slots are
-        strictly older, later slots are anything up to newest. Same
-        schedule — and therefore the same candidate order, which decides
-        which of two observationally equal candidates wins admission —
-        as :meth:`_fresh_combinations`, minus the per-production
-        re-filtering."""
+        strictly older, later slots are anything up to newest, so no
+        combination is produced twice. The order of the combinations
+        decides which of two observationally equal candidates wins
+        admission."""
         for j in range(len(split_slots)):
             fresh = split_slots[j][1]
             if not fresh:
@@ -733,30 +710,6 @@ class Enumerator:
             if any(not s for s in older) or any(not s for s in upto):
                 continue
             yield from itertools.product(*older, fresh, *upto)
-
-    def _fresh_combinations(
-        self, slots: List[List[PoolEntry]]
-    ) -> Iterable[Tuple[PoolEntry, ...]]:
-        """All slot combinations containing at least one expression from
-        the newest complete generation (``store.generation - 1``), without
-        duplicates: slot ``j`` carries the newest element, earlier slots
-        are strictly older, later slots are anything."""
-        newest = self.store.generation - 1
-        for j in range(len(slots)):
-            older = [
-                [e for e in slot if e.generation < newest]
-                for slot in slots[:j]
-            ]
-            fresh = [e for e in slots[j] if e.generation == newest]
-            anything = [
-                [e for e in slot if e.generation <= newest]
-                for slot in slots[j + 1:]
-            ]
-            if not fresh or any(not s for s in older) or any(
-                not s for s in anything
-            ):
-                continue
-            yield from itertools.product(*older, fresh, *anything)
 
     def _expand_lasy(self, prod: Production, batched: bool = False) -> List[Expr]:
         store = self.store
@@ -807,9 +760,7 @@ class Enumerator:
                     e.values is not None for e in combo
                 ):
                     values = self._apply_lasy_values(fn, combo)
-                result = store.offer(
-                    expr, values, sampled_fast=self._fast_sampling
-                )
+                result = store.offer(expr, values)
                 if result is not None:
                     added.append(result)
         return added

@@ -93,8 +93,8 @@ def options_fingerprint(options: Any) -> Tuple:
     ``timeout_s`` (both the TDS-level and the nested DBS-level one) is a
     *budget*, not a search parameter: the same session may serve
     requests under different deadlines. Everything else — feature
-    switches, fuel, enumeration mode — changes what gets searched and
-    therefore keys the session.
+    switches, fuel, the example scheduler — changes what gets searched
+    and therefore keys the session.
     """
     if options is None:
         return ("default",)

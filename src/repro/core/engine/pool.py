@@ -43,10 +43,9 @@ whole TDS example sequence (BUSTLE-style signature widening):
 Sampled fingerprints of free-variable expressions are computed over the
 example list at admission time and cannot be widened column-wise; on
 extension they are *recomputed* over the full widened list (the cost is
-bounded by the per-nonterminal var caps), on the path admission takes in
-the current enumeration mode (the memoized grids when batched), so the
-free-variable corner of the pool stays exactly as deduplicated as a cold
-build would leave it.
+bounded by the per-nonterminal var caps), on the memoized grids that
+admission signs them on, so the free-variable corner of the pool stays
+exactly as deduplicated as a cold build would leave it.
 
 The syntactic seen-set keys a call as ``(nt, function, args)``
 (:func:`syntactic_key`), a key the batched enumerator can form before
@@ -57,7 +56,6 @@ grid, record a semantic loser's key, and build only the survivors.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -85,7 +83,7 @@ from ..expr import (
     is_recursive,
 )
 from ..rewrite import Rewriter
-from ..types import Type, types_compatible
+from ..types import Type
 from ..values import ERROR, signature_key
 
 # Fuel for one component evaluation during signature computation.
@@ -95,33 +93,20 @@ _SIGNATURE_FUEL = 30_000
 # pathological growth (the paper's programs top out ~20 lines).
 _MAX_EXPR_SIZE = 60
 
+# Expressions with free lambda variables evade both the value-vector
+# fast path and the admission filters, so their corner of the pool is
+# additionally bounded: a size cap and a per-nonterminal count cap
+# (generation order means the small, useful bodies arrive first).
+_MAX_VAR_EXPR_SIZE = 16
+_MAX_VAR_EXPRS_PER_NT = 1200
+
+# Per-nonterminal cap on remembered semantic-dedup losers (revival
+# candidates for incremental example extension).
+_MAX_SHADOW_ENTRIES = 2048
+
 # Sampled-environment grid memo bound (see PoolStore._grid_values);
 # cleared wholesale on overflow, like the compile cache.
 _GRID_CACHE_LIMIT = 200_000
-
-# ---------------------------------------------------------------------
-# Enumeration-mode switch, mirroring evaluator.REPRO_EVAL: the batched
-# value-vector path is a pure optimization, and the classic path stays
-# selectable for differential tests, A/B timing, and as a safety hatch.
-# It lives here because the store re-keys extended entries on the path
-# that admitted them; engine.enumerator re-exports it.
-
-_ENUM_MODE = "classic" if os.environ.get("REPRO_ENUM") == "classic" else "batched"
-
-
-def set_enum_mode(mode: str) -> str:
-    """Select ``"batched"`` or ``"classic"``; returns the previous mode."""
-    global _ENUM_MODE
-    if mode not in ("batched", "classic"):
-        raise ValueError(f"unknown enum mode {mode!r}")
-    previous = _ENUM_MODE
-    _ENUM_MODE = mode
-    return previous
-
-
-def get_enum_mode() -> str:
-    return _ENUM_MODE
-
 
 @dataclass
 class PoolEntry:
@@ -155,17 +140,6 @@ class PoolOptions:
 
     use_dsl: bool = True
     semantic_dedup: bool = True
-    signature_fuel: int = _SIGNATURE_FUEL
-    max_expr_size: int = _MAX_EXPR_SIZE
-    # Expressions with free lambda variables evade both the value-vector
-    # fast path and the admission filters, so their corner of the pool is
-    # additionally bounded: a size cap and a per-nonterminal count cap
-    # (generation order means the small, useful bodies arrive first).
-    max_var_expr_size: int = 16
-    max_var_exprs_per_nt: int = 1200
-    # Per-nonterminal cap on remembered semantic-dedup losers (revival
-    # candidates for incremental example extension).
-    max_shadow_entries: int = 2048
 
 
 class PoolStore:
@@ -362,24 +336,6 @@ class PoolStore:
         for name in names:
             yield from self._entries.get(name, ())
 
-    def expressions_of_type(self, ty: Type) -> List[Expr]:
-        out: List[Expr] = []
-        for pool_ty, entries in self._by_type.items():
-            if types_compatible(ty, pool_ty):
-                out.extend(entry.expr for entry in entries)
-        return out
-
-    def compatible_with_hole(self, hole_nt: str, hole_type: Type) -> List[Expr]:
-        """Expressions that may fill a context hole.
-
-        With the DSL on, the hole's nonterminal must match (§5.1: the
-        grammar, not just types, decides what to build); with the DSL off,
-        any type-compatible expression qualifies.
-        """
-        if self.options.use_dsl:
-            return self.expressions(hole_nt)
-        return self.expressions_of_type(hole_type)
-
     def total(self) -> int:
         return sum(len(v) for v in self._entries.values())
 
@@ -442,14 +398,14 @@ class PoolStore:
         per-nonterminal var cap. The enumerator gates a combo without a
         recursive child by its summed child sizes and merged free
         variables, so a rejected combo is never built."""
-        if size > self.options.max_expr_size:
+        if size > _MAX_EXPR_SIZE:
             return "size"
         if expr is not None and not _recursion_shape_ok(expr):
             return "recursion_shape"
         if has_vars:
-            if size > self.options.max_var_expr_size:
+            if size > _MAX_VAR_EXPR_SIZE:
                 return "var_size"
-            if self._var_counts.get(nt, 0) >= self.options.max_var_exprs_per_nt:
+            if self._var_counts.get(nt, 0) >= _MAX_VAR_EXPRS_PER_NT:
                 return "var_cap"
         return None
 
@@ -473,19 +429,12 @@ class PoolStore:
         return False
 
     def offer(
-        self,
-        expr: Expr,
-        values: Optional[Tuple[Any, ...]] = None,
-        *,
-        sampled_fast: bool = False,
+        self, expr: Expr, values: Optional[Tuple[Any, ...]] = None
     ) -> Optional[Expr]:
         """Canonicalize, deduplicate, and admit an expression. Returns the
         admitted (canonical) expression, or None if it was a duplicate.
-
-        ``sampled_fast`` lets batched-mode callers compute any sampled
-        (free-variable) fingerprint from the identity-memoized grids of
-        :meth:`_grid_values` instead of a fresh per-candidate evaluation;
-        the decision tree and signature semantics are unchanged."""
+        A free-variable expression is signed on the identity-memoized
+        grids of :meth:`_grid_values` (:meth:`_sampled_signature_fast`)."""
         expr_vars = free_vars(expr)
         reason = self.gate(expr.nt, expr.size, bool(expr_vars), expr)
         if reason is not None:
@@ -518,9 +467,7 @@ class PoolStore:
         sig = None
         sig_cols = None
         if self.options.semantic_dedup:
-            raw, sig_cols = self._signature_state(
-                expr, values, sampled_fast=sampled_fast
-            )
+            raw, sig_cols = self._signature_state(expr, values)
             sig = self._intern_sig(raw)
             if sig is not None:
                 seen = self._seen_semantic.setdefault(expr.nt, set())
@@ -553,7 +500,7 @@ class PoolStore:
         self._admit(entry)
         return expr
 
-    # -- batched admission (see engine.enumerator's batched mode) ------
+    # -- batched admission (see engine.enumerator's batched expansion) -
 
     def vector_sig(
         self, nt: str, values: Tuple[Any, ...]
@@ -568,10 +515,7 @@ class PoolStore:
         """Whether a semantic loser would actually be remembered; when
         the shadow bucket is full the batched path skips materializing
         the loser expression altogether."""
-        return (
-            len(self._shadows.get(nt, ()))
-            < self.options.max_shadow_entries
-        )
+        return len(self._shadows.get(nt, ())) < _MAX_SHADOW_ENTRIES
 
     def admit_batched(
         self,
@@ -732,24 +676,7 @@ class PoolStore:
         cached = self._partition_cache.get(key)
         if cached is not None:
             return cached
-        older: List[PoolEntry] = []
-        fresh: List[PoolEntry] = []
-        # `upto` is built in the same scan, NOT as `older + fresh`: entry
-        # lists are not always generation-sorted (a redo of an incomplete
-        # generation appends previous-generation entries after newer
-        # ones), and combination order decides which of two semantically
-        # equal candidates wins admission — it must match the classic
-        # path's order-preserving filters exactly.
-        upto: List[PoolEntry] = []
-        for entry in self._entries.get(name, ()):
-            generation = entry.generation
-            if generation < newest:
-                older.append(entry)
-                upto.append(entry)
-            elif generation == newest:
-                fresh.append(entry)
-                upto.append(entry)
-        result = (older, fresh, upto)
+        result = split_generations(self._entries.get(name, ()), newest)
         self._partition_cache[key] = result
         return result
 
@@ -771,7 +698,7 @@ class PoolStore:
 
     def _shadow(self, entry: PoolEntry) -> None:
         bucket = self._shadows.setdefault(entry.expr.nt, [])
-        if len(bucket) < self.options.max_shadow_entries:
+        if len(bucket) < _MAX_SHADOW_ENTRIES:
             bucket.append(entry)
 
     def _closed_evaluable(self, expr: Expr) -> bool:
@@ -804,7 +731,7 @@ class PoolStore:
             env = Env(
                 params=dict(zip(names, example.args)),
                 lasy_fns=self.lasy_fns,
-                fuel=Fuel(self.options.signature_fuel),
+                fuel=Fuel(_SIGNATURE_FUEL),
             )
             try:
                 value = runner(env)
@@ -874,7 +801,6 @@ class PoolStore:
         self._prune_stale_constants(seeds, report)
         filters = self.dsl.admission_filters
         dedup = self.options.semantic_dedup
-        fast = get_enum_mode() == "batched"
         for nt, entries in list(self._entries.items()):
             kept: List[PoolEntry] = []
             seen: set = set()
@@ -910,16 +836,13 @@ class PoolStore:
                     # Sampled fingerprints (free-variable and lambda
                     # entries) were taken over the shorter example list
                     # and cannot be widened column-wise; recompute them
-                    # over the full widened list, on the path a cold
-                    # admission in this enumeration mode would take —
-                    # otherwise the var corner of the pool escapes dedup
-                    # and bloats every later generation's combination
-                    # space.
+                    # over the full widened list, as a cold admission
+                    # would — otherwise the var corner of the pool
+                    # escapes dedup and bloats every later generation's
+                    # combination space.
                     entry.sig = (
                         self._intern_sig(
-                            self._signature_state(
-                                entry.expr, None, sampled_fast=fast
-                            )[0]
+                            self._signature_state(entry.expr, None)[0]
                         )
                         if dedup
                         else None
@@ -1165,13 +1088,12 @@ class PoolStore:
         self._bindings_cache = {}
         self._var_meta_cache = {}
         dedup = self.options.semantic_dedup
-        fast = get_enum_mode() == "batched"
         dropped = False
         for nt, entries in list(self._entries.items()):
             kept: List[PoolEntry] = []
             seen: set = set()
             for entry in entries:
-                self._permute_entry(entry, order, dedup, fast)
+                self._permute_entry(entry, order, dedup)
                 if entry.sig is not None:
                     if entry.sig in seen:
                         self._c_semantic.value += 1
@@ -1188,12 +1110,12 @@ class PoolStore:
                 self._seen_semantic[nt] = seen
         for bucket in self._shadows.values():
             for entry in bucket:
-                self._permute_entry(entry, order, dedup, fast)
+                self._permute_entry(entry, order, dedup)
         if dropped:
             self._rebuild_by_type()
 
     def _permute_entry(
-        self, entry: PoolEntry, order: Sequence[int], dedup: bool, fast: bool
+        self, entry: PoolEntry, order: Sequence[int], dedup: bool
     ) -> None:
         if entry.values is not None:
             entry.values = tuple(entry.values[j] for j in order)
@@ -1214,11 +1136,7 @@ class PoolStore:
                 entry.sig_cols = None
         else:
             entry.sig = (
-                self._intern_sig(
-                    self._signature_state(
-                        entry.expr, None, sampled_fast=fast
-                    )[0]
-                )
+                self._intern_sig(self._signature_state(entry.expr, None)[0])
                 if dedup
                 else None
             )
@@ -1376,10 +1294,7 @@ class PoolStore:
         return out
 
     def _signature_state(
-        self,
-        expr: Expr,
-        values: Optional[Tuple[Any, ...]],
-        sampled_fast: bool = False,
+        self, expr: Expr, values: Optional[Tuple[Any, ...]]
     ) -> Tuple[Optional[Tuple], Optional[Tuple]]:
         """``(raw_signature, key_columns)`` for an admission candidate;
         the raw signature is None when exempt. Seen-sets and entries
@@ -1387,7 +1302,7 @@ class PoolStore:
         :meth:`_intern_sig`). For vector-derived fingerprints the
         signature *is* the column tuple (cached on the entry so widening
         extends the prefix); sampled fingerprints have no widenable
-        columns, and ``sampled_fast`` takes them from the memoized grids
+        columns and come from the memoized grids
         (:meth:`_sampled_signature_fast`)."""
         if is_recursive(expr):
             return None, None
@@ -1397,9 +1312,7 @@ class PoolStore:
             cols = self._vector_sig_columns(expr.nt, values, self.examples)
             return cols, cols
         adapter = self.dsl.signature_adapters.get(expr.nt)
-        if sampled_fast:
-            return self._sampled_signature_fast(expr, adapter), None
-        return self._sampled_signature(expr, adapter), None
+        return self._sampled_signature_fast(expr, adapter), None
 
     def _vector_sig_columns(
         self,
@@ -1448,7 +1361,9 @@ class PoolStore:
 
     def _sampled_signature(self, expr: Expr, adapter) -> Optional[Tuple]:
         """Fingerprint for expressions with free lambda variables (or
-        lambdas): evaluate under sampled bindings."""
+        lambdas): evaluate under sampled bindings. It signs lambdas and
+        recursive expressions, and is the per-candidate reference the
+        grids of :meth:`_sampled_signature_fast` are held to."""
         target = expr
         binder_vars: List[Tuple[str, Type]] = []
         if isinstance(expr, Lambda):
@@ -1471,7 +1386,7 @@ class PoolStore:
                     params=dict(zip(names, example.args)),
                     vars=dict(binding),
                     lasy_fns=self.lasy_fns,
-                    fuel=Fuel(self.options.signature_fuel),
+                    fuel=Fuel(_SIGNATURE_FUEL),
                 )
                 try:
                     value = runner(env)
@@ -1495,10 +1410,10 @@ class PoolStore:
         except TypeError:
             return None
 
-    # -- batched sampled fingerprints (see engine.enumerator) ----------
+    # -- sampled fingerprints on memoized grids ------------------------
 
     def _sampled_signature_fast(self, expr: Expr, adapter) -> Optional[Tuple]:
-        """Batched-mode equivalent of :meth:`_sampled_signature` for
+        """The grid equivalent of :meth:`_sampled_signature` for
         non-lambda candidates: the sampled cells come from the
         identity-memoized grids of :meth:`_grid_values` instead of a
         fresh whole-tree evaluation per (example, binding) cell — the
@@ -1733,7 +1648,7 @@ class PoolStore:
             env = Env(
                 params=dict(zip(names, example.args)),
                 lasy_fns=self.lasy_fns,
-                fuel=Fuel(self.options.signature_fuel),
+                fuel=Fuel(_SIGNATURE_FUEL),
             )
             try:
                 value = runner(env)
@@ -1760,7 +1675,7 @@ class PoolStore:
                     params=params,
                     vars=dict(binding),
                     lasy_fns=self.lasy_fns,
-                    fuel=Fuel(self.options.signature_fuel),
+                    fuel=Fuel(_SIGNATURE_FUEL),
                 )
                 try:
                     value = runner(env)
@@ -1770,6 +1685,29 @@ class PoolStore:
                     value = ERROR
                 cells.append(value)
         return tuple(cells)
+
+
+def split_generations(
+    entries: Iterable[PoolEntry], newest: int
+) -> Tuple[List[PoolEntry], List[PoolEntry], List[PoolEntry]]:
+    """``(older, fresh, upto)``: the entries strictly before ``newest``,
+    exactly at it, and both, each in the order given. ``upto`` is built
+    in the same scan, NOT as ``older + fresh``: entry lists are not
+    always generation-sorted (a redo of an incomplete generation appends
+    previous-generation entries after newer ones), and combination order
+    decides which of two semantically equal candidates wins admission."""
+    older: List[PoolEntry] = []
+    fresh: List[PoolEntry] = []
+    upto: List[PoolEntry] = []
+    for entry in entries:
+        generation = entry.generation
+        if generation < newest:
+            older.append(entry)
+            upto.append(entry)
+        elif generation == newest:
+            fresh.append(entry)
+            upto.append(entry)
+    return older, fresh, upto
 
 
 def syntactic_key(expr: Expr) -> Tuple:

@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..tds import TdsSession, TdsStep
 
 #: Environment switch consulted when ``TdsOptions.schedule`` is None —
-#: same default-then-env resolution as ``REPRO_ENUM``.
+#: same default-then-env resolution as ``REPRO_EVAL``.
 ENV_SCHEDULE = "REPRO_TDS_SCHEDULE"
 DEFAULT_SCHEDULE = "fifo"
 
@@ -73,8 +73,8 @@ def resolve_schedule(name: Optional[str]) -> str:
     """The effective scheduler name: explicit option, else the
     ``REPRO_TDS_SCHEDULE`` environment switch, else ``fifo``. An
     environment value naming no known scheduler falls back to
-    ``fifo``, as unknown ``REPRO_ENUM``/``REPRO_EVAL`` values fall back
-    to their defaults."""
+    ``fifo``, as an unknown ``REPRO_EVAL`` value falls back to its
+    default."""
     if name:
         return name
     env = os.environ.get(ENV_SCHEDULE, "").strip()

@@ -32,7 +32,6 @@ from ..dsl import Dsl, Example, Signature
 from ..expr import Expr, free_vars
 from ..types import types_compatible
 from .enumerator import Enumerator
-from .keys import SessionKey, options_fingerprint, session_key_for
 from .pool import PoolOptions, PoolStore
 from .registry import StrategyRegistry, default_registry
 from .testing import Tester
@@ -127,25 +126,6 @@ class SynthesisSession:
         self._pending_reorder: Optional[List[int]] = None
 
     # -- identity / lifecycle ------------------------------------------
-
-    def key(self, options: Any = None) -> SessionKey:
-        """The session's explicit identity key (see ``engine.keys``):
-        DSL, signature, LaSy-state fingerprint, pool options, and the
-        example prefix the pool currently holds. ``options`` (a run- or
-        cache-level options dataclass, e.g. ``TdsOptions``) is
-        fingerprinted in when given."""
-        pool = self.pool
-        return session_key_for(
-            getattr(self.dsl, "name", type(self.dsl).__name__),
-            self.signature,
-            lasy_fns=self.lasy_fns,
-            lasy_names=self.lasy_signatures,
-            pool_options=(
-                options_fingerprint(pool.options) if pool is not None else ()
-            ),
-            options=options,
-            examples=pool.examples if pool is not None else (),
-        )
 
     def suspend(self) -> None:
         """Detach the session from its run so it can sit in a cache:

@@ -541,11 +541,6 @@ def is_recursive(expr: Expr) -> bool:
     return expr.has_recurse
 
 
-def contains_free_vars(expr: Expr) -> bool:
-    """Whether ``expr`` contains lambda variables not bound within it."""
-    return bool(expr.free_var_set)
-
-
 def free_vars(expr: Expr) -> frozenset:
     """Names of lambda variables free in ``expr``."""
     return expr.free_var_set

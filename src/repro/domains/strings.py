@@ -630,11 +630,6 @@ def regex_signature(value: Any, example: Example) -> Any:
     return tuple(out)
 
 
-def _builder_nt_patch() -> None:  # pragma: no cover - documentation only
-    """The 'w' loop variable is referenced via the c nonterminal; see
-    make_flashfill_dsl."""
-
-
 def _make_dsl_with_w() -> Dsl:
     return make_flashfill_dsl(extended=True)
 

@@ -25,9 +25,9 @@ from .xmltree import XmlNode, parse_xml, serialize
 NODE_LIST = list_of(XML)
 
 
-def _require_node(value: Any, what: str = "node") -> XmlNode:
+def _require_node(value: Any) -> XmlNode:
     if not isinstance(value, XmlNode):
-        raise EvaluationError(f"expected an XML {what}")
+        raise EvaluationError("expected an XML node")
     return value
 
 
@@ -151,15 +151,6 @@ def set_children(node: Any, nodes: Any) -> XmlNode:
     return _require_node(node).with_children(tuple(_require_nodes(nodes)))
 
 
-def set_text(node: Any, text: str) -> XmlNode:
-    node = _require_node(node)
-    return node.with_children((text,) if text else ())
-
-
-def append_child(node: Any, child: Any) -> XmlNode:
-    return _require_node(node).append(_require_node(child, "child"))
-
-
 def concat_lists(a: Any, b: Any) -> Tuple[XmlNode, ...]:
     return _require_nodes(a) + _require_nodes(b)
 
@@ -175,14 +166,6 @@ def map_nodes(nodes: Any, fn: Any) -> Tuple[XmlNode, ...]:
         if not isinstance(mapped, XmlNode):
             raise EvaluationError("MapNodes body must produce nodes")
         out.append(mapped)
-    return tuple(out)
-
-
-def flat_map_nodes(nodes: Any, fn: Any) -> Tuple[XmlNode, ...]:
-    out: List[XmlNode] = []
-    for node in _require_nodes(nodes):
-        mapped = fn(node)
-        out.extend(_require_nodes(mapped))
     return tuple(out)
 
 

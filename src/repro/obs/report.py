@@ -31,9 +31,9 @@ class TraceParseError(ValueError):
 _PHASES = {
     "dbs": "dbs dispatch/other",
     "dbs.enumerate": "enumerate",
-    # Batched value-vector enumeration (REPRO_ENUM=batched, the
-    # default); a separate phase so batched-vs-classic time splits show
-    # directly in the report.
+    # Batched value-vector enumeration; a separate phase so the split
+    # between batched and per-candidate (``dbs.enumerate``) expansion
+    # shows directly in the report.
     "dbs.enum.batched": "enum",
     # Warm-pool extension between TDS iterations (widening cached value
     # vectors, reviving shadows, re-seeding atoms).

@@ -199,10 +199,11 @@ class TestVarExpressions:
         store, _ = make_pool(self.lambda_dsl())
         assert any(isinstance(e, Var) for e in store.expressions("e"))
 
-    def test_var_size_cap(self):
-        store, enum = make_pool(
-            self.lambda_dsl(), options=PoolOptions(max_var_expr_size=1)
-        )
+    def test_var_size_cap(self, monkeypatch):
+        from repro.core.engine import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "_MAX_VAR_EXPR_SIZE", 1)
+        store, enum = make_pool(self.lambda_dsl())
         enum.advance()
         from repro.core.expr import free_vars
 

@@ -1,12 +1,13 @@
 """Differential tests for batched value-vector enumeration.
 
-``REPRO_ENUM=batched`` (the default) computes each candidate's value
-vector straight from its children's cached vectors and dedups on the
-interned signature before any expression is materialized; ``classic``
-is the per-expression reference pipeline. The two paths must be
-observationally identical: the same pool entries in the same order with
-the same vectors, the same shadows, and — end to end, across all four
-paper domains — the same synthesized programs.
+The enumerator computes each candidate's value vector straight from its
+children's cached vectors and dedups on the interned signature before
+any expression is materialized (the ``batched`` path); ``classic`` is
+the per-expression reference pipeline, reached through the
+:func:`enum_path` test seam. The two paths must be observationally
+identical: the same pool entries in the same order with the same
+vectors, the same shadows, and — end to end, across all four paper
+domains — the same synthesized programs.
 """
 
 import contextlib
@@ -17,22 +18,30 @@ from repro.core.budget import Budget
 from repro.core.dbs import DbsStats
 from repro.core.dsl import DslBuilder, Example, Signature
 from repro.core.engine import Enumerator, PoolStore
-from repro.core.engine.enumerator import get_enum_mode, set_enum_mode
 from repro.core.expr import Call, Param
 from repro.core.types import INT, STRING
+from repro.domains.registry import get_domain
 
 SIG = Signature("f", (("x", INT),), INT)
 
 
 @contextlib.contextmanager
 def enum_path(mode):
-    """Run the block under one enumeration path (the process-wide
-    ``set_enum_mode`` switch), restoring the previous one after."""
-    previous = set_enum_mode(mode)
-    try:
+    """Run the block on one enumeration path. ``"batched"`` is the
+    engine as it ships; ``"classic"`` forces the per-candidate reference
+    onto every production (no production is batchable) and signs every
+    free-variable candidate per candidate instead of on the grids. Both
+    class attributes are restored after the block."""
+    if mode == "batched":
         yield
-    finally:
-        set_enum_mode(previous)
+        return
+    assert mode == "classic", mode
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Enumerator, "_batchable", lambda self, prod: False)
+        patch.setattr(
+            PoolStore, "_sampled_signature_fast", PoolStore._sampled_signature
+        )
+        yield
 
 
 def _neg(v):
@@ -199,38 +208,30 @@ def test_pexfun_puzzle_batched_matches_classic():
     assert str(batched.program) == str(classic.program)
 
 
-# -- mode plumbing -----------------------------------------------------
+# -- the test seam -----------------------------------------------------
 
 
-def test_mode_switch_round_trips():
-    previous = set_enum_mode("classic")
-    try:
-        assert get_enum_mode() == "classic"
-        assert set_enum_mode("batched") == "classic"
-        assert get_enum_mode() == "batched"
-    finally:
-        set_enum_mode(previous)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        set_enum_mode("vectorized")
-
-
-def test_cli_flag_sets_mode():
-    import os
-
-    from repro import cli
-
-    previous = get_enum_mode()
-    try:
-        code = cli.main(["--enum", "classic", "domains"])
-        assert code == 0
-        assert get_enum_mode() == "classic"
-        assert os.environ.get("REPRO_ENUM") == "classic"
-    finally:
-        set_enum_mode(previous)
-        os.environ.pop("REPRO_ENUM", None)
+def test_classic_path_neither_batches_nor_fills_grids():
+    """``enum_path`` patches class attributes by name; if production code
+    stopped consulting them, every differential in this suite would
+    compare the batched path with itself and still pass. One strings
+    advance on each path: the reference batches no candidate and signs
+    nothing on the grids, the batched path does both."""
+    signature = Signature("f", (("v", STRING),), STRING)
+    examples = [Example(("John Smith",), "J.S."), Example(("Jane Doe",), "J.D.")]
+    outcome = {}
+    for mode in ("classic", "batched"):
+        pool, stats = make_pool(get_domain("strings").dsl(), signature, examples)
+        enumerator = Enumerator(pool)
+        with enum_path(mode):
+            enumerator.seed([])
+            before = stats.registry.value("enum.batched")
+            enumerator.advance()
+        batched = stats.registry.value("enum.batched") - before
+        outcome[mode] = (batched, len(pool._grid_cache))
+    assert outcome["classic"] == (0, 0)
+    batched, grids = outcome["batched"]
+    assert batched > 0 and grids > 0
 
 
 # -- extend/revival memoization (the satellite fixes) ------------------

@@ -8,8 +8,9 @@ canonicalization, identity-memoized with a root-indexed rule scan).
 This file checks every cached result against an independent fresh
 recomputation over the same seeded 1000-expressions × 4-domains corpus
 as ``test_compile_differential``, plus the expressions a real
-enumeration run admits under each ``REPRO_ENUM`` mode (the mode governs
-which pipeline *built* the pooled expressions).
+enumeration run admits on each enumeration path
+(``test_enum_batched.enum_path``: the path governs which pipeline
+*built* the pooled expressions).
 """
 
 import random

@@ -1,7 +1,7 @@
 """Differential tests for batched sampled signatures.
 
-In batched enumeration mode ``PoolStore`` fingerprints free-variable
-candidates from identity-memoized sampled-environment grids
+``PoolStore`` fingerprints free-variable candidates from
+identity-memoized sampled-environment grids
 (``_sampled_signature_fast``) instead of re-evaluating the whole tree
 once per ``(example, binding)`` cell per candidate. The fast path must
 be observationally identical to the per-candidate reference
@@ -11,12 +11,11 @@ same shadow buckets, and the same dedup/rejection counters.
 Each run advances a few generations, then takes the warm path a
 session takes between TDS iterations: ``extend_examples`` by one
 example, ``reorder_examples``, and one more advance. Extension re-keys
-sampled entries on the path that admitted them (the grids in batched
-mode), so the comparisons cover it too.
+sampled entries on the grids too, so the comparisons cover it.
 
 Two comparisons, on the real strings and pexfun domains:
 
-* fast grids vs the per-candidate reference *within* batched mode —
+* fast grids vs the per-candidate reference *within* the batched path —
   everything must match byte for byte, counters included, because only
   the signature computation differs;
 * batched vs classic enumeration — entries and shadows must match
@@ -143,7 +142,7 @@ def _counters(stats):
 
 @pytest.mark.parametrize("name", ["strings", "pexfun"])
 def test_fast_sampled_signatures_match_reference(name, monkeypatch):
-    """Within batched mode, grids vs per-candidate signatures: only the
+    """On the batched path, grids vs per-candidate signatures: only the
     fingerprint computation differs, so pool state *and* every counter
     must be byte-identical. The reference signs both the built
     candidates and the unbuilt combos of ``offer_combo`` per candidate,

@@ -2,8 +2,9 @@
 
 The correctness bar is strict: with no timeout signal, an ``adaptive``
 run must synthesize *byte-identical* final programs to ``fifo`` —
-across all four paper domains, in both enum modes, cold (pool rebuilt
-per DBS call) and warm (persistent engine).
+across all four paper domains, on both enumeration paths (batched and
+the per-candidate reference, see ``test_enum_batched.enum_path``), cold
+(pool rebuilt per DBS call) and warm (persistent engine).
 
 Also covered here: the session-identity rules for ``TdsOptions.schedule``
 (None ≡ "fifo" ≡ the ``REPRO_TDS_SCHEDULE`` env value), SessionCache
