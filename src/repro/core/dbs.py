@@ -51,8 +51,6 @@ class DbsOptions:
     enable_conditionals: bool = True
     enable_loops: bool = True
     max_generations: int = 24
-    evaluation_fuel: int = 60_000
-    max_recursion_depth: int = 40
     # Hard per-run wall-clock deadline (seconds). Unlike the soft
     # Budget.max_seconds it allows no grace sweep: the run truncates
     # with a structured SynthesisTimeout within one cooperative check

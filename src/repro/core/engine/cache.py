@@ -74,7 +74,11 @@ from .keys import SessionKey, example_fingerprints
 # syntactic seen-set keys calls as ``(nt, function, args)``
 # (engine.pool.syntactic_key); a version-3 blob's ``(nt, call)`` keys
 # would never match, and a restored session could re-admit a loser.
-_JOURNAL_VERSION = 4
+# Version 5: ``SessionKey`` lost its always-empty ``pool_options``
+# field, and the options fingerprint lost ``DbsOptions``'s fuel and
+# recursion-depth fields (now the tester's constants), so a version-4
+# record's key would never match.
+_JOURNAL_VERSION = 5
 
 # The attribute a session carries after a full record of it was
 # journaled: ``(token, key, version)``. ``token`` is the object

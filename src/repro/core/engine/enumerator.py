@@ -28,12 +28,14 @@ rejected on the interned signature of that vector alone; the expression
 is materialized lazily from the ``(production, child-entries)`` tuple
 only for survivors (and for semantic losers that still fit the revival
 shadow list, which must be hash-consed exactly as the per-candidate
-pipeline leaves them). Productions the batch compiler cannot handle —
-lazy components, lambda-taking slots, recursion, unbound LaSy callees —
-take the per-candidate pipeline (build, then :meth:`PoolStore.offer`).
-That pipeline is also the reference: ``tests/test_enum_batched.py``
-forces it onto every production and holds both to the same pools and
-programs.
+pipeline leaves them). A call whose root no rewrite rule can match
+needs no rewriter: it is canonical as built, or, over constant
+children, folds to the constant its vector holds. Productions the batch
+compiler cannot handle — lazy components, lambda-taking slots,
+recursion, unbound LaSy callees — take the per-candidate pipeline
+(build, then :meth:`PoolStore.offer`). That pipeline is also the
+reference: ``tests/test_enum_batched.py`` forces it onto every
+production and holds both to the same pools and programs.
 
 A combination with a free-variable child (a body for ``Loop(λw: e)``
 or ``SplitAndMerge(λpiece: e)``) has no value vector, but it is
@@ -59,6 +61,7 @@ from ..compile import compile_batch, compile_lasy_batch
 from ..dsl import LambdaSpec, NtRef, Production
 from ..evaluator import check_value_size
 from ..expr import Call, Const, Expr, Lambda, LasyCall, Param, Recurse, Var, free_vars
+from ..rewrite import fold_value
 from ..types import types_compatible
 from ..values import ERROR, freeze
 from .pool import (
@@ -402,8 +405,8 @@ class Enumerator:
         def make_expr(children: Tuple[Expr, ...]) -> Expr:
             return Call(func, children, nt)
 
-        signed = func if store.rewriter.fixed_root(func) else None
-        return self._batched_combos(nt, split_slots, batch_fn, make_expr, signed)
+        fixed = func if store.rewriter.fixed_root(func) else None
+        return self._batched_combos(nt, split_slots, batch_fn, make_expr, fixed)
 
     def _batched_combos(
         self,
@@ -411,34 +414,44 @@ class Enumerator:
         split_slots: List[Tuple],
         batch_fn,
         make_expr,
-        signed_func=None,
+        fixed_func=None,
     ) -> List[Expr]:
         """The batched inner loop: per fresh combination, compute the
         candidate's value vector straight from the cached child vectors
         with one vectorized ``batch_fn`` call and dedup on the interned
-        signature; only survivors (and shadow-worthy semantic losers)
-        are materialized as expressions via ``make_expr``. Candidate
-        accounting (budget charge, offered/rejected/semantic counters,
-        admission filter) mirrors the per-candidate :meth:`PoolStore.offer`
-        pipeline step for step, so the two paths exhaust budgets at the
-        same points and leave identical pools.
+        signature; only survivors (and semantic losers that fit their
+        shadow bucket) are materialized as expressions via
+        ``make_expr``. Candidate accounting (budget charge,
+        offered/rejected/semantic counters, admission filter) mirrors
+        the per-candidate :meth:`PoolStore.offer` pipeline step for
+        step, so the two paths exhaust budgets at the same points and
+        leave identical pools.
+
+        When the root is ``fixed_func`` (a call no rewrite rule can
+        match), the candidate's canonical form needs no rewriter: it is
+        the call itself, or, when every child is a constant, the
+        constant the call folds to, read from its value vector
+        (:func:`~repro.core.rewrite.fold_value`). Its syntactic key is
+        then known before anything is built, so a semantic loser is
+        keyed without being built, and built only when its shadow
+        bucket stores it (:meth:`PoolStore.shadow_batched`).
 
         A combination with a free-variable child has no value vector.
         Without a recursive child it is gated on its summed child sizes
         and free variables before anything is built. When the root is
-        ``signed_func`` (a call no rewrite rule can match) it is then
-        values-first too: :meth:`PoolStore.offer_combo` signs it on the
-        sampled grid computed from its children's memoized grid columns
-        and builds only survivors. Any other free-variable combination
-        (a rewrite-rooted or LaSy root, a recursive child, an exempt
-        variable set, a broken grid projection) is built and offered."""
+        ``fixed_func`` it is then values-first too:
+        :meth:`PoolStore.offer_combo` signs it on the sampled grid
+        computed from its children's memoized grid columns and builds
+        only survivors. Any other free-variable combination (a
+        rewrite-rooted or LaSy root, a recursive child, an exempt
+        variable set, a broken grid projection, no semantic dedup) is
+        built and offered."""
         store = self.store
         examples = store.examples
         n_examples = len(examples)
         budget = store.budget
         dedup = store.options.semantic_dedup
-        if not dedup:
-            signed_func = None
+        sign_combos = dedup and fixed_func is not None
         predicate = store.dsl.admission_filters.get(nt)
         max_size = _MAX_EXPR_SIZE
         seen = store._seen_semantic.setdefault(nt, set()) if dedup else ()
@@ -488,11 +501,11 @@ class Enumerator:
                             store.refuse(nt, reason)
                             break
                     children = tuple(e.expr for e in combo)
-                    if signed_func is not None and var_set and not recurses:
+                    if sign_combos and var_set and not recurses:
                         grid = store.combo_grid(children, var_set)
                         if grid is not None:
                             result = store.offer_combo(
-                                nt, signed_func, children, batch_fn, grid
+                                nt, fixed_func, children, batch_fn, grid
                             )
                             if result is not None:
                                 added.append(result)
@@ -523,20 +536,48 @@ class Enumerator:
                         c_rejected.label(reason="filter", nt=nt)
                     continue
                 sig = sig_cols = None
+                loser = False
                 if dedup:
                     sig, sig_cols = store.vector_sig(nt, values)
                     if sig is not None and sig in seen:
+                        loser = True
                         c_semantic.value += 1
                         if detailed:
                             c_semantic.label(nt=nt)
-                        if store.shadow_has_room(nt):
-                            expr = make_expr(tuple(e.expr for e in combo))
-                            c_materialized.value += 1
-                            store.shadow_batched(expr, values, sig, sig_cols)
+                children = tuple(e.expr for e in combo)
+                if fixed_func is None:
+                    expr = make_expr(children)
+                    c_materialized.value += 1
+                    if loser:
+                        store.shadow_batched(expr, values, sig, sig_cols)
                         continue
-                expr = make_expr(tuple(e.expr for e in combo))
-                c_materialized.value += 1
-                result = store.admit_batched(expr, values, sig, sig_cols)
+                    result = store.admit_batched(expr, values, sig, sig_cols)
+                else:
+                    # A fixed root is canonical as built, unless all its
+                    # children are constants and it folds; the fold is
+                    # read from the vector, which is constant then.
+                    folded = None
+                    for child in children:
+                        if type(child) is not Const:
+                            break
+                    else:
+                        folded = fold_value(fixed_func, values, nt)
+                    if folded is not None:
+                        store.count_rewrite(nt)
+                        c_materialized.value += 1
+                        key = (nt, folded)
+                    else:
+                        key = (nt, fixed_func, children)
+                    if loser:
+                        store.shadow_batched(folded, values, sig, sig_cols, key)
+                        continue
+                    expr = folded
+                    if expr is None:
+                        expr = Call(fixed_func, children, nt)
+                        c_materialized.value += 1
+                    result = store.admit_batched(
+                        expr, values, sig, sig_cols, key
+                    )
                 if result is not None:
                     added.append(result)
         return added

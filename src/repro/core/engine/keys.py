@@ -131,7 +131,6 @@ class SessionKey:
     dsl: str
     signature: str
     lasy_state: Tuple = ()
-    pool_options: Tuple = ()
     options: Tuple = ()
     examples: Tuple[ExampleFp, ...] = field(default=())
 
@@ -161,7 +160,6 @@ def session_key_for(
     *,
     lasy_fns: Mapping[str, Any],
     lasy_names: Optional[Iterable[str]] = None,
-    pool_options: Tuple = (),
     options: Any = None,
     examples: Sequence[Example] = (),
 ) -> SessionKey:
@@ -170,7 +168,6 @@ def session_key_for(
         dsl=dsl_name,
         signature=str(signature),
         lasy_state=lasy_fingerprint(lasy_fns, lasy_names),
-        pool_options=tuple(pool_options),
         options=options_fingerprint(options),
         examples=example_fingerprints(examples),
     )

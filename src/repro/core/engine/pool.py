@@ -51,7 +51,15 @@ The syntactic seen-set keys a call as ``(nt, function, args)``
 (:func:`syntactic_key`), a key the batched enumerator can form before
 the call exists. :meth:`PoolStore.offer_combo` uses it to sign a
 free-variable call whose root no rewrite rule can match on its sampled
-grid, record a semantic loser's key, and build only the survivors.
+grid, record a semantic loser's key, and build only the survivors. A
+closed call with such a root is keyed the same way by the batched
+enumerator, which passes the key to :meth:`PoolStore.admit_batched` and
+:meth:`PoolStore.shadow_batched` so the rewriter is never asked.
+
+A closed entry's value vector also answers for its test verdicts:
+:meth:`PoolStore.vector_of` hands the tester the vector of a
+straight-line entry admitted in this process, whose cells are exactly
+what running it on each example returns.
 """
 
 from __future__ import annotations
@@ -224,6 +232,11 @@ class PoolStore:
         self._lasy_versions = {
             name: id(fn) for name, fn in self.lasy_fns.items()
         }
+        # Entries whose value vectors the tester may read as outputs
+        # (see vector_of), by expression: straight-line entries
+        # admitted by offer() or admit_batched() in this process. Never
+        # pickled; narrowed to the live entries by _rebuild_by_type.
+        self._vector_entries: Dict[Expr, PoolEntry] = {}
 
         self.bind(metrics if metrics is not None else Registry(), self.budget)
 
@@ -301,6 +314,7 @@ class PoolStore:
         state["_bindings_cache"] = {}
         state["_var_meta_cache"] = {}
         state["_sample_cache"] = {}
+        state["_vector_entries"] = {}
         # id() snapshots are meaningless in another interpreter (and a
         # reused id would silently skip a needed refresh); an empty
         # snapshot makes the first refresh_lasy re-check everything.
@@ -445,12 +459,7 @@ class PoolStore:
         # Children come from the pool and are already canonical, so only
         # the root needs rewriting; rewrites are semantics-preserving, so
         # any computed value vector remains valid.
-        canonical = self.rewriter.canonicalize_root(expr)
-        if canonical is not expr:
-            self._c_rewrites.value += 1
-            if self._detailed:
-                self._c_rewrites.label(nt=expr.nt)
-            expr = canonical
+        expr = self._canonical_root(expr)
         key = syntactic_key(expr)
         if self._seen_before(key, expr.nt):
             return None
@@ -498,7 +507,23 @@ class PoolStore:
         if expr_vars:
             self._var_counts[expr.nt] = self._var_counts.get(expr.nt, 0) + 1
         self._admit(entry)
+        self._index_vector(entry)
         return expr
+
+    def _canonical_root(self, expr: Expr) -> Expr:
+        """``expr`` with its root canonicalized, a rewrite counted."""
+        canonical = self.rewriter.canonicalize_root(expr)
+        if canonical is not expr:
+            self.count_rewrite(expr.nt)
+        return canonical
+
+    def count_rewrite(self, nt: str) -> None:
+        """Count one root rewrite (``dbs.rewrite.canonicalized``); the
+        enumerator counts here the constant folds it reads from value
+        vectors."""
+        self._c_rewrites.value += 1
+        if self._detailed:
+            self._c_rewrites.label(nt=nt)
 
     # -- batched admission (see engine.enumerator's batched expansion) -
 
@@ -511,18 +536,13 @@ class PoolStore:
         cols = self._vector_sig_columns(nt, values, self.examples)
         return self._intern_sig(cols), cols
 
-    def shadow_has_room(self, nt: str) -> bool:
-        """Whether a semantic loser would actually be remembered; when
-        the shadow bucket is full the batched path skips materializing
-        the loser expression altogether."""
-        return len(self._shadows.get(nt, ())) < _MAX_SHADOW_ENTRIES
-
     def admit_batched(
         self,
         expr: Expr,
         values: Optional[Tuple[Any, ...]],
         sig: Optional[int],
         sig_cols: Optional[Tuple],
+        key: Optional[Tuple] = None,
     ) -> Optional[Expr]:
         """Admission tail for a batched-path survivor. The caller already
         charged the budget, checked the size caps, ran any admission
@@ -530,15 +550,14 @@ class PoolStore:
         value vector; a free-variable one (from :meth:`offer_combo`)
         carries none and takes a slot under the per-nonterminal var cap.
         Neither is recursive, so :meth:`offer`'s shape check holds
-        statically. What is left is what needs the materialized
-        expression: root canonicalization and syntactic dedup."""
-        canonical = self.rewriter.canonicalize_root(expr)
-        if canonical is not expr:
-            self._c_rewrites.value += 1
-            if self._detailed:
-                self._c_rewrites.label(nt=expr.nt)
-            expr = canonical
-        key = syntactic_key(expr)
+        statically. What is left is root canonicalization and syntactic
+        dedup. A caller that knows ``expr`` is canonical (a
+        :meth:`~repro.core.rewrite.Rewriter.fixed_root` call, or the
+        constant it folds to) passes its syntactic ``key``, and the
+        rewriter is skipped."""
+        if key is None:
+            expr = self._canonical_root(expr)
+            key = syntactic_key(expr)
         if self._seen_before(key, expr.nt):
             return None
         self._seen_syntactic.add(key)
@@ -546,47 +565,48 @@ class PoolStore:
             self._seen_semantic.setdefault(expr.nt, set()).add(sig)
         if expr.free_var_set:
             self._var_counts[expr.nt] = self._var_counts.get(expr.nt, 0) + 1
-        self._admit(
-            PoolEntry(
-                expr,
-                self.generation,
-                values,
-                sig,
-                sig_cols,
-                self.example_epoch,
-            )
+        entry = PoolEntry(
+            expr, self.generation, values, sig, sig_cols, self.example_epoch
         )
+        self._admit(entry)
+        self._index_vector(entry)
         return expr
 
     def shadow_batched(
         self,
-        expr: Expr,
+        expr: Optional[Expr],
         values: Tuple[Any, ...],
         sig: int,
         sig_cols: Optional[Tuple],
+        key: Optional[Tuple] = None,
     ) -> None:
-        """Shadow a batched-path semantic loser, replicating the classic
-        path's state: the loser is canonicalized, hash-consed into the
-        syntactic seen-set (it can never be regenerated), and remembered
-        for example-extension revival."""
-        canonical = self.rewriter.canonicalize_root(expr)
-        if canonical is not expr:
-            self._c_rewrites.value += 1
-            if self._detailed:
-                self._c_rewrites.label(nt=expr.nt)
-            expr = canonical
-        key = syntactic_key(expr)
-        if self._seen_before(key, expr.nt):
+        """Shadow a batched-path semantic loser, replicating
+        :meth:`offer`'s state: the loser's key enters the syntactic
+        seen-set whether or not its shadow bucket has room (it can never
+        be regenerated), and the loser is remembered for
+        example-extension revival while the bucket has room. A built
+        ``expr`` is canonicalized here. A caller that knows the loser's
+        canonical form passes its syntactic ``key`` instead; ``expr`` is
+        then the constant it folds to, or None for a
+        :meth:`~repro.core.rewrite.Rewriter.fixed_root` call, which is
+        built from its ``(nt, function, args)`` key only when the bucket
+        stores it."""
+        if key is None:
+            expr = self._canonical_root(expr)
+            key = syntactic_key(expr)
+        nt = key[0]
+        if self._seen_before(key, nt):
             return
         self._seen_syntactic.add(key)
-        self._shadow(
+        bucket = self._shadows.setdefault(nt, [])
+        if len(bucket) >= _MAX_SHADOW_ENTRIES:
+            return
+        if expr is None:
+            expr = Call(key[1], key[2], nt)
+            self._c_materialized.value += 1
+        bucket.append(
             PoolEntry(
-                expr,
-                self.generation,
-                values,
-                sig,
-                sig_cols,
-                self.example_epoch,
+                expr, self.generation, values, sig, sig_cols, self.example_epoch
             )
         )
 
@@ -648,7 +668,7 @@ class PoolStore:
         expr = Call(func, children, nt)
         self._c_materialized.value += 1
         self._grid_store(id(expr), expr, cells)
-        return self.admit_batched(expr, None, sig, None)
+        return self.admit_batched(expr, None, sig, None, key)
 
     def _combo_signature(
         self, nt: str, func: Function, children, cells, var_types, bindings
@@ -1035,15 +1055,46 @@ class PoolStore:
         return revived
 
     def _rebuild_by_type(self) -> None:
+        """Rebuild the by-type index after entry lists were rebuilt, and
+        narrow the vector index to the entries still live."""
         by_type: Dict[Type, List[PoolEntry]] = {}
+        indexed = self._vector_entries
+        live: Dict[Expr, PoolEntry] = {}
         for entries in self._entries.values():
             for entry in entries:
-                if isinstance(entry.expr, Lambda):
+                expr = entry.expr
+                if indexed.get(expr) is entry:
+                    live[expr] = entry
+                if isinstance(expr, Lambda):
                     continue
-                ty = self._expr_type(entry.expr)
+                ty = self._expr_type(expr)
                 if ty is not None:
                     by_type.setdefault(ty, []).append(entry)
         self._by_type = by_type
+        self._vector_entries = live
+
+    def _index_vector(self, entry: PoolEntry) -> None:
+        """Index a newly admitted entry for :meth:`vector_of` when it has
+        a value vector and a straight-line tree."""
+        if entry.values is not None and _straight_line(entry.expr):
+            self._vector_entries[entry.expr] = entry
+
+    def vector_of(self, expr: Expr) -> Optional[Tuple[Any, ...]]:
+        """The value vector the tester may read as ``expr``'s outputs on
+        the store's examples, or None.
+
+        It is the vector of a live entry for ``expr`` that was admitted
+        in this process (never one unpickled) and widened or permuted to
+        the current example epoch. The tree has only parameters,
+        constants and eager calls, so running it spends one unit of
+        fuel per node, at most ``_MAX_EXPR_SIZE`` in all, and reaches no
+        recursion depth. That is far below both ``_SIGNATURE_FUEL`` and
+        the tester's fuel, so each cell, ``ERROR`` included, is what
+        ``run_program`` returns on that example."""
+        entry = self._vector_entries.get(expr)
+        if entry is None or entry.epoch != self.example_epoch:
+            return None
+        return entry.values
 
     def reorder_examples(self, perm: Sequence[int]) -> None:
         """Permute the held examples in place: ``perm[i]`` is the old
@@ -1719,6 +1770,16 @@ def syntactic_key(expr: Expr) -> Tuple:
     if type(expr) is Call:
         return (expr.nt, expr.func, expr.args)
     return (expr.nt, expr)
+
+
+def _straight_line(expr: Expr) -> bool:
+    """Whether ``expr`` has only parameter, constant and eager call
+    nodes: no lambdas, variables, recursion, LaSy calls, conditionals,
+    loops or lazy components."""
+    kind = type(expr)
+    if kind is Call:
+        return not expr.func.lazy and all(_straight_line(a) for a in expr.args)
+    return kind is Param or kind is Const
 
 
 def _mentions_lasy(expr: Expr, names) -> bool:

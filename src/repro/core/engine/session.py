@@ -31,6 +31,7 @@ from ..contexts import Context, hole_type
 from ..dsl import Dsl, Example, Signature
 from ..expr import Expr, free_vars
 from ..types import types_compatible
+from ..values import freeze, structurally_equal
 from .enumerator import Enumerator
 from .pool import PoolOptions, PoolStore
 from .registry import StrategyRegistry, default_registry
@@ -60,6 +61,25 @@ def _prefix_permutation(
         else:
             return None
     return perm
+
+
+def _frozen_args(example: Example) -> Example:
+    """``example`` with its arguments frozen as ``run_program`` freezes
+    them, so the pool's vectors and the tester's runs see the same
+    inputs; the example itself when they are frozen already."""
+    args = freeze(example.args)
+    if args == example.args:
+        return example
+    return Example(args, example.output)
+
+
+def _same_inputs(held: Sequence[Example], run: Sequence[Example]) -> bool:
+    """Whether two example lists have the same arguments pairwise, with
+    ``structurally_equal``'s strictness: ``==`` (which the warm-reuse
+    prefix check uses) equates 1 with True, whose outputs can differ."""
+    return len(held) == len(run) and all(
+        a is b or structurally_equal(a.args, b.args) for a, b in zip(held, run)
+    )
 
 
 def acceptable_nts(
@@ -116,6 +136,9 @@ class SynthesisSession:
         self.guard_nts: frozenset = frozenset()
         self.acceptable: Dict[int, frozenset] = {}
         self.root_nt: Optional[str] = None
+        # The pool whose value vectors test_batch reads verdicts from,
+        # None when its examples are not the tester's.
+        self.vectors: Optional[PoolStore] = None
         self.all_set: frozenset = frozenset()
         self.max_branches = 1
         self.previous_program: Optional[Expr] = None
@@ -139,6 +162,7 @@ class SynthesisSession:
         self.tracer = None
         self.tester = None
         self.store = None
+        self.vectors = None
         self.contexts = []
         self.acceptable = {}
         self.previous_program = None
@@ -154,7 +178,7 @@ class SynthesisSession:
         # deadlines) and must not travel; the pool and enumerator have
         # their own __getstate__ that preserves the warm search state.
         state = self.__dict__.copy()
-        for name in ("budget", "stats", "tracer", "tester", "store"):
+        for name in ("budget", "stats", "tracer", "tester", "store", "vectors"):
             state[name] = None
         state["contexts"] = []
         state["acceptable"] = {}
@@ -186,7 +210,7 @@ class SynthesisSession:
         max_branches: int = 1,
     ) -> "SynthesisSession":
         self.contexts = list(contexts)
-        self.examples = list(examples)
+        self.examples = [_frozen_args(example) for example in examples]
         self.budget = budget
         self.options = options
         self.stats = stats
@@ -220,6 +244,7 @@ class SynthesisSession:
         assert pool is not None
         pool.previous_program = previous_program
         pool.guard_sets = []
+        self.vectors = pool if _same_inputs(pool.examples, self.examples) else None
 
         self.store = ConditionalStore(len(self.examples))
         self.guard_nts = guard_nts(self.dsl)
@@ -233,7 +258,6 @@ class SynthesisSession:
             self.signature,
             self.examples,
             self.lasy_fns,
-            options,
             stats,
             budget,
             previous_program=previous_program,
@@ -333,6 +357,11 @@ class SynthesisSession:
         """Plug each expression into each compatible context; return a
         program satisfying every example, else record T(p)/B(g) and None.
 
+        An expression the pool holds a current value vector for
+        (:meth:`PoolStore.vector_of`) has its guard sets, and its T(p)
+        in the trivial context, read from that vector instead of run;
+        in any other context the plugged program is run.
+
         ``exprs`` may be any iterable (including a lazy pool view); the
         batch size is attached to ``span`` as it becomes known.
         """
@@ -340,10 +369,12 @@ class SynthesisSession:
         tester = self.tester
         store = self.store
         contexts = self.contexts
+        trivial = [ctx.is_trivial for ctx in contexts]
         acceptable = self.acceptable
         use_dsl = options.use_dsl
         guards = self.guard_nts
         budget = self.budget
+        vector_of = self.vectors.vector_of if self.vectors is not None else None
         count = 0
         try:
             for expr in exprs:
@@ -354,11 +385,12 @@ class SynthesisSession:
                     # deadline's overshoot to 64 guard evaluations.
                     budget.check_deadline()
                 expr_free = free_vars(expr)
+                values = vector_of(expr) if vector_of is not None else None
                 is_guard = (
                     expr.nt in guards if use_dsl else expr.nt == "τ:bool"
                 )
                 if is_guard and not expr_free:
-                    true_set, errors = tester.guard_sets(expr)
+                    true_set, errors = tester.guard_sets(expr, values)
                     store.record_guard(expr, true_set, errors)
                     tester._guard_records.value += 1
                 for i, ctx in enumerate(contexts):
@@ -374,7 +406,9 @@ class SynthesisSession:
                     program = ctx.plug(expr)
                     if free_vars(program):
                         continue
-                    passed = tester.passed_set(program)
+                    passed = tester.passed_set(
+                        program, values if trivial[i] else None
+                    )
                     if len(passed) == len(tester.examples) and tester.examples:
                         return program
                     store.record_program(program, passed)

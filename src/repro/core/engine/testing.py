@@ -12,6 +12,12 @@ the oracle *is* the real run. Only examples whose angelic run called the
 oracle are run a second time without it. :meth:`Tester.passed_set`
 keeps the angelic verdicts for the :meth:`Tester.angelic_passed_set`
 call that follows on the same program.
+
+A candidate whose outputs the pool already holds is not run at all:
+:meth:`Tester.passed_set` and :meth:`Tester.guard_sets` take its value
+vector (:meth:`~.pool.PoolStore.vector_of`, one cell per example, each
+what ``run_program`` would return) and read the verdicts from it,
+charged like a run and counted as ``dbs.test.from_vector``.
 """
 
 from __future__ import annotations
@@ -28,6 +34,12 @@ from ..values import ERROR, freeze, structurally_equal
 # Metric names shared with DbsStats (kept as literals to avoid a
 # circular import with repro.core.dbs).
 PROGRAMS_TESTED = "dbs.programs_tested"
+
+# Fuel and recursion depth of one candidate run on one example. The
+# vector reads above rest on this fuel being far above what a pooled
+# straight-line tree can spend (at most its size, 60 nodes).
+EVALUATION_FUEL = 60_000
+MAX_RECURSION_DEPTH = 40
 
 
 def _same_types(left: Any, right: Any) -> bool:
@@ -48,7 +60,6 @@ class Tester:
         signature: Signature,
         examples: Sequence[Example],
         lasy_fns: Mapping,
-        options,
         stats,
         budget: Budget,
         previous_program: Optional[Expr] = None,
@@ -56,7 +67,6 @@ class Tester:
         self.signature = signature
         self.examples = list(examples)
         self.lasy_fns = lasy_fns
-        self.options = options
         self.stats = stats
         self.budget = budget
         self.previous_program = previous_program
@@ -70,6 +80,7 @@ class Tester:
             "dbs.cond.programs_recorded"
         )
         self._real_reruns = stats.registry.counter("dbs.test.real_reruns")
+        self._from_vector = stats.registry.counter("dbs.test.from_vector")
         self._memo_hits = stats.registry.counter("dbs.test.oracle_memo_hits")
         # The angelic oracle, built on first use, and how many times it
         # has been asked (a run that asked it reached a recursive call);
@@ -116,13 +127,27 @@ class Tester:
         self._ex_evals.inc(1, index=index)
         return value
 
-    def passed_set(self, program: Expr) -> frozenset:
+    def passed_set(
+        self, program: Expr, values: Optional[Tuple[Any, ...]] = None
+    ) -> frozenset:
         """T(p): indices of examples the program handles.
 
-        A recursive program runs angelically first on each example, and
-        for real only where the angelic run called the oracle; the
-        angelic T(p) is kept for :meth:`angelic_passed_set`."""
+        Given the program's value vector ``values``, T(p) is read from
+        it without running anything. A recursive program runs
+        angelically first on each example, and for real only where the
+        angelic run called the oracle; the angelic T(p) is kept for
+        :meth:`angelic_passed_set`."""
         self._charge()
+        if values is not None:
+            self._from_vector.value += 1
+            return frozenset(
+                index
+                for index, (value, example) in enumerate(
+                    zip(values, self.examples)
+                )
+                if value is not ERROR
+                and structurally_equal(value, example.output)
+            )
         oracle = self._recursion_oracle() if is_recursive(program) else None
         passed = set()
         angelic = set()
@@ -190,8 +215,6 @@ class Tester:
         previous = self.previous_program
         names = self._param_names
         lasy_fns = self.lasy_fns
-        fuel = self.options.evaluation_fuel
-        max_depth = self.options.max_recursion_depth
         memo_hits = self._memo_hits
         asked = self._oracle_calls
         # args -> (args, raised, value or error args).
@@ -217,8 +240,8 @@ class Tester:
                     names,
                     args,
                     lasy_fns=lasy_fns,
-                    fuel=fuel,
-                    max_depth=max_depth,
+                    fuel=EVALUATION_FUEL,
+                    max_depth=MAX_RECURSION_DEPTH,
                 )
             except EvaluationError as exc:
                 if hit is None:
@@ -254,19 +277,25 @@ class Tester:
                 self._param_names,
                 example.args,
                 lasy_fns=self.lasy_fns,
-                fuel=self.options.evaluation_fuel,
-                max_depth=self.options.max_recursion_depth,
+                fuel=EVALUATION_FUEL,
+                max_depth=MAX_RECURSION_DEPTH,
                 recursion_oracle=recursion_oracle,
             )
         except EvaluationError:
             return ERROR
 
-    def guard_sets(self, guard: Expr) -> Tuple[frozenset, frozenset]:
-        """(B(g), error set) for a boolean expression."""
+    def guard_sets(
+        self, guard: Expr, values: Optional[Tuple[Any, ...]] = None
+    ) -> Tuple[frozenset, frozenset]:
+        """(B(g), error set) for a boolean expression, read from its
+        value vector ``values`` when given."""
         true_set = set()
         errors = set()
-        for index, example in enumerate(self.examples):
-            value = self._run(guard, example)
+        if values is not None:
+            self._from_vector.value += 1
+        else:
+            values = [self._run(guard, example) for example in self.examples]
+        for index, value in enumerate(values):
             if value is ERROR:
                 errors.add(index)
             elif value is True:

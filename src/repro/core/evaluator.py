@@ -231,7 +231,14 @@ def _eval_call(expr: Call, env: Env) -> Any:
             raise
         except Exception as exc:
             raise EvaluationError(f"{func.name}: {exc}") from exc
-    args = [evaluate(a, env) for a in expr.args]
+    return apply_eager(func, [evaluate(a, env) for a in expr.args])
+
+
+def apply_eager(func, args: Sequence[Any]) -> Any:
+    """An eager component applied to its argument values: the result
+    frozen and size-checked, any failure an :class:`EvaluationError`.
+    Constant folding (:mod:`repro.core.rewrite`) applies components
+    through this too."""
     try:
         return check_value_size(freeze(func.fn(*args)))
     except EvaluationError:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .dsl import Dsl, DslError
-from .evaluator import Env, EvaluationError, evaluate
+from .evaluator import EvaluationError, apply_eager
 from .expr import Call, Const, Expr, Function, Lambda
+from .values import ERROR
 
 
 # ---------------------------------------------------------------------
@@ -202,6 +203,10 @@ class Rewriter:
             for rule, kind in self.rules
         ]
         self._rule_roots = {root for _, _, root in self._indexed_rules}
+        # Whether some rule has a variable or constant root and so may
+        # match any node; without one, canonicalize_root returns the
+        # roots no rule or fold can touch as they are.
+        self._any_root = None in self._rule_roots
         self._functions: Dict[str, Function] = {
             fn.name: fn for fn in dsl.functions()
         }
@@ -241,7 +246,21 @@ class Rewriter:
         results are memoized: composition re-offers structurally
         identical candidates every generation, and the hash-consed node
         hash makes the lookup O(1).
+
+        A root nothing can touch comes back as it is, before the memo:
+        when no rule has a variable or constant root, that is any node
+        but a call, and a call whose function roots no rule and which
+        has a non-constant argument (see :meth:`fixed_root`). For such
+        a root every rule is skipped and folding returns its input, so
+        the loop below would return ``expr`` unchanged.
         """
+        if not self._any_root:
+            if type(expr) is not Call:
+                return expr
+            if expr.func.name not in self._rule_roots and not all(
+                type(a) is Const for a in expr.args
+            ):
+                return expr
         cached = self._root_cache.get(expr)
         if cached is not None:
             # A node that is its own canonical form comes back as itself,
@@ -268,7 +287,7 @@ class Rewriter:
         Constant folding does not fire on a call with a non-constant
         argument either, so such a call over canonical children is its
         own canonical form, and the pool can key it before it is built."""
-        return None not in self._rule_roots and func.name not in self._rule_roots
+        return not self._any_root and func.name not in self._rule_roots
 
     # -- internals -----------------------------------------------------
 
@@ -333,18 +352,38 @@ class Rewriter:
         return Call(func, args, nt)
 
     def _fold_constants(self, expr: Expr) -> Expr:
+        """An eager call whose arguments are all constants, replaced by
+        the constant it evaluates to; the call itself when it raises or
+        its value cannot be a constant. The component is applied as the
+        evaluator applies it (:func:`apply_eager`), without the tree
+        walk: the one unit of fuel per node such a call spends can
+        never run out."""
         if not isinstance(expr, Call) or expr.func.lazy:
             return expr
         if not all(isinstance(a, Const) for a in expr.args):
             return expr
         try:
-            env = Env(params={})
-            value = evaluate(expr, env)
+            value = apply_eager(expr.func, [a.value for a in expr.args])
         except EvaluationError:
             return expr
-        if not _foldable_value(value):
-            return expr
-        return Const(value, expr.func.return_type, expr.nt)
+        folded = fold_value(expr.func, (value,), expr.nt)
+        return expr if folded is None else folded
+
+
+def fold_value(func: Function, values: Tuple[Any, ...], nt: str) -> Optional[Const]:
+    """The constant an eager call to ``func`` over constant arguments
+    folds to, read from the call's value vector ``values``; None when
+    it does not fold and the call is its own canonical form. The vector
+    is constant across the examples, and a batched applier
+    (:func:`repro.core.compile.compile_batch`) fills it as
+    :meth:`Rewriter._fold_constants` applies the call: ``func.fn`` on
+    the same constant values through ``check_value_size(freeze(...))``,
+    a raised exception or an oversize value being ``ERROR`` there and
+    no fold here. Only hashable plain data folds."""
+    value = values[0]
+    if value is ERROR or not _foldable_value(value):
+        return None
+    return Const(value, func.return_type, nt)
 
 
 def _foldable_value(value: Any) -> bool:

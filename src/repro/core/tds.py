@@ -38,6 +38,7 @@ from .budget import Budget, CancelToken, Deadline, default_budget
 from .contexts import contexts_of, prune_contexts, subexpressions_of, trivial_context
 from .dbs import DbsOptions, DbsResult, dbs
 from .dsl import Dsl, Example, Signature
+from .engine.testing import EVALUATION_FUEL, MAX_RECURSION_DEPTH
 from .evaluator import EvaluationError, run_program
 from .expr import Expr, count_branches
 from .program import SynthesizedFunction
@@ -408,8 +409,8 @@ class TdsSession:
                 self.signature.param_names,
                 example.args,
                 lasy_fns=self.lasy_fns,
-                fuel=self.options.dbs.evaluation_fuel,
-                max_depth=self.options.dbs.max_recursion_depth,
+                fuel=EVALUATION_FUEL,
+                max_depth=MAX_RECURSION_DEPTH,
             )
         except EvaluationError:
             return False

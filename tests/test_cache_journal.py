@@ -177,10 +177,10 @@ def test_replay_skips_records_it_cannot_read(tmp_path):
         live = cache.keys()
     with Journal(path) as journal:
         journal.append([1, 2])
-        journal.append({"v": 4, "kind": "full", "key": "no blob", "cost": 1.0})
-        journal.append({"v": 4, "kind": "touch", "key": ["unhashable"], "cost": 1.0})
-        journal.append({"v": 4, "kind": "full", "key": "bad cost", "cost": "x", "blob": ""})
-        journal.append({"v": 4, "kind": "full", "key": "bad blob", "cost": 0.0, "blob": "?"})
+        journal.append({"v": cache_mod._JOURNAL_VERSION, "kind": "full", "key": "no blob", "cost": 1.0})
+        journal.append({"v": cache_mod._JOURNAL_VERSION, "kind": "touch", "key": ["unhashable"], "cost": 1.0})
+        journal.append({"v": cache_mod._JOURNAL_VERSION, "kind": "full", "key": "bad cost", "cost": "x", "blob": ""})
+        journal.append({"v": cache_mod._JOURNAL_VERSION, "kind": "full", "key": "bad blob", "cost": 0.0, "blob": "?"})
     with SessionCache(capacity=2, metrics=Registry(), journal_path=path) as restored:
         assert restored.keys() == live
         assert restored.stats()["restored"] == 1

@@ -18,6 +18,7 @@ from repro.core.budget import Budget
 from repro.core.dbs import DbsStats
 from repro.core.dsl import DslBuilder, Example, Signature
 from repro.core.engine import Enumerator, PoolStore
+from repro.core.engine import pool as pool_mod
 from repro.core.expr import Call, Param
 from repro.core.types import INT, STRING
 from repro.domains.registry import get_domain
@@ -170,6 +171,40 @@ class TestPoolDifferential:
             assert pool.exhausted
             pools.append(pool)
         assert pool_state(pools[0]) == pool_state(pools[1])
+
+
+def _truncated_redo_state(mode):
+    """The tiny DSL's generation 3 cut short by the expression budget,
+    then the warm path a session takes: bind a fresh budget (which arms
+    the redo), extend by two examples, re-seed and advance. The redo
+    leaves more semantic losers than the default shadow cap holds.
+    Returns the pool state and the syntactic seen-set after the redo."""
+    pool, stats = make_pool(
+        tiny_dsl(), SIG, [Example((1,), 0), Example((3,), 0)], max_expressions=400
+    )
+    enumerator = Enumerator(pool)
+    with enum_path(mode):
+        enumerator.seed([])
+        while not pool.exhausted:
+            enumerator.advance()
+        assert pool.incomplete_generation and pool.generation == 3
+        pool.bind(stats.registry, Budget(max_seconds=60.0, max_expressions=10**7))
+        pool.extend_examples([Example((5,), 0), Example((-2,), 0)])
+        enumerator.seed([])
+        enumerator.advance()
+        assert pool.last_generation_redone
+    return pool_state(pool), set(pool._seen_syntactic)
+
+
+@pytest.mark.parametrize("shadow_cap", [1, 2, 4, pool_mod._MAX_SHADOW_ENTRIES])
+def test_truncated_redo_blocks_every_semantic_loser(shadow_cap, monkeypatch):
+    """A batched semantic loser's syntactic key is recorded whether or
+    not its shadow bucket has room, as ``offer()`` records every
+    loser's. Otherwise the redo of a truncated generation, over the
+    extended examples, could admit a loser that the reference path
+    keeps out with its key."""
+    monkeypatch.setattr(pool_mod, "_MAX_SHADOW_ENTRIES", shadow_cap)
+    assert _truncated_redo_state("batched") == _truncated_redo_state("classic")
 
 
 DOMAIN_CASES = [

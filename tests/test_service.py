@@ -290,8 +290,9 @@ def test_restarted_server_comes_back_warm(tmp_path):
 
 def test_journal_replays_only_its_own_version(tmp_path):
     """Journal records carry a layout version. A record of another
-    version (here v3, whose pools key the syntactic seen-set by whole
-    calls) restores nothing; the same record at v4 restores."""
+    version (here v4, whose session keys carry ``pool_options`` and the
+    fuel and depth options) restores nothing; the same record at v5
+    restores."""
     journal = str(tmp_path / "cache.jsonl")
     cache = SessionCache(
         capacity=8, metrics=Registry(), journal_path=journal
@@ -299,8 +300,8 @@ def test_journal_replays_only_its_own_version(tmp_path):
     _run_cached(STRINGS, cache)
     cache.close()
     (record,), _valid = Journal.scan(journal)
-    assert record["v"] == 4
-    for version, restored in ((3, 0), (4, 1)):
+    assert record["v"] == 5
+    for version, restored in ((4, 0), (5, 1)):
         path = str(tmp_path / f"v{version}.jsonl")
         with Journal(path) as writer:
             writer.append(dict(record, v=version))

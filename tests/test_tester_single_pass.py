@@ -67,9 +67,9 @@ def plugged() -> List[Tuple[testing.Tester, List[Expr]]]:
     seen: Dict[int, Tuple[testing.Tester, List[Expr]]] = {}
     original = testing.Tester.passed_set
 
-    def recording(self, program):
+    def recording(self, program, values=None):
         seen.setdefault(id(self), (self, []))[1].append(program)
-        return original(self, program)
+        return original(self, program, values)
 
     testing.Tester.passed_set = recording
     try:
@@ -84,7 +84,6 @@ def _fresh_tester(original: testing.Tester) -> testing.Tester:
         original.signature,
         original.examples,
         original.lasy_fns,
-        original.options,
         DbsStats(),
         Budget(),
         previous_program=original.previous_program,
@@ -95,7 +94,6 @@ def _reference(tester: testing.Tester, program: Expr):
     """``(T(p), angelic T(p), examples whose angelic run called the
     oracle)`` by the two-pass loops, with a fresh oracle."""
     names = tester.signature.param_names
-    options = tester.options
 
     def run(example, oracle=None):
         try:
@@ -104,8 +102,8 @@ def _reference(tester: testing.Tester, program: Expr):
                 names,
                 example.args,
                 lasy_fns=tester.lasy_fns,
-                fuel=options.evaluation_fuel,
-                max_depth=options.max_recursion_depth,
+                fuel=testing.EVALUATION_FUEL,
+                max_depth=testing.MAX_RECURSION_DEPTH,
                 recursion_oracle=oracle,
             )
         except EvaluationError:
@@ -134,8 +132,8 @@ def _reference(tester: testing.Tester, program: Expr):
                 names,
                 args,
                 lasy_fns=tester.lasy_fns,
-                fuel=options.evaluation_fuel,
-                max_depth=options.max_recursion_depth,
+                fuel=testing.EVALUATION_FUEL,
+                max_depth=testing.MAX_RECURSION_DEPTH,
             )
         raise EvaluationError("angelic recursion: input not in example table")
 
@@ -228,7 +226,6 @@ def _memo_tester(previous):
         SIG,
         [Example((3,), 6)],
         {},
-        DbsOptions(),
         DbsStats(),
         Budget(),
         previous_program=previous,
