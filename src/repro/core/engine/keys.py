@@ -11,8 +11,9 @@ instead of being implicitly owned by one ``run_tds``/``run_lasy`` call.
 Fingerprints, not values, go into the key:
 
 * examples are fingerprinted per-example through
-  :func:`~repro.core.values.signature_key` (the same freezing semantic
-  dedup uses), falling back to ``repr`` for unfreezable domain values;
+  :func:`~repro.core.values.strict_key` (frozen as semantic dedup
+  freezes them, with bools tagged at every depth), falling back to
+  ``repr`` for unfreezable domain values;
 * the LaSy state is fingerprinted by *content* — a synthesized helper
   by its signature and program text, a lookup by its frozen table —
   because the mappings themselves are rebuilt per run and identity
@@ -39,15 +40,16 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..dsl import Example, Signature
 from ..program import LookupFunction, SynthesizedFunction
-from ..values import signature_key
+from ..values import strict_key
 
 ExampleFp = Tuple
 
 
 def example_fingerprint(example: Example) -> ExampleFp:
-    """A hashable fingerprint of one example (args and output)."""
+    """A hashable fingerprint of one example (args and output), with
+    bools told apart from ints at every depth (:func:`strict_key`)."""
     try:
-        return signature_key(list(example.args) + [example.output])
+        return tuple(map(strict_key, (*example.args, example.output)))
     except TypeError:
         return ("repr", repr(example.args), repr(example.output))
 

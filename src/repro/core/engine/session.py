@@ -17,8 +17,10 @@ Per run, :meth:`SynthesisSession.begin_run` either
   enumeration frontier instead of from scratch.
 
 The T(p)/B(g) conditional store and the tester are per-run (they depend
-on the full example list and the run's budget); only the expression
-store survives.
+on the full example list and the run's budget); the expression store
+survives, and so does the verdict memo of recursive candidates
+(:class:`~.testing.SessionVerdicts`) while the session can call no LaSy
+function: a suspended or pickled session carries no memo.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..values import freeze, structurally_equal
 from .enumerator import Enumerator
 from .pool import PoolOptions, PoolStore
 from .registry import StrategyRegistry, default_registry
-from .testing import Tester
+from .testing import SessionVerdicts, Tester
 
 REUSE_KEYS = ("reused", "invalidated", "revived", "refreshed", "pruned")
 
@@ -43,24 +45,34 @@ REUSE_KEYS = ("reused", "invalidated", "revived", "refreshed", "pruned")
 def _prefix_permutation(
     held: Sequence[Example], want: Sequence[Example]
 ) -> Optional[List[int]]:
-    """``perm`` with ``held[perm[i]] == want[i]``, or None when ``want``
-    is not a permutation of ``held``. Multiset matching by structural
-    equality; duplicates pair up greedily (any pairing of equal examples
-    is the same permutation of columns). O(n²), with n the example
-    prefix — single digits in practice."""
+    """``perm`` with ``held[perm[i]]`` the same example as ``want[i]``
+    (:func:`_same_example`), or None when ``want`` is not a permutation
+    of ``held``. Multiset matching by structural equality; duplicates
+    pair up greedily (any pairing of equal examples is the same
+    permutation of columns). O(n²), with n the example prefix — single
+    digits in practice."""
     if len(held) != len(want):
         return None
     used = [False] * len(held)
     perm: List[int] = []
     for example in want:
         for j, candidate in enumerate(held):
-            if not used[j] and candidate == example:
+            if not used[j] and _same_example(candidate, example):
                 used[j] = True
                 perm.append(j)
                 break
         else:
             return None
     return perm
+
+
+def _same_example(a: Example, b: Example) -> bool:
+    """Whether two examples have structurally equal arguments and
+    outputs (``==`` equates 1 with True, at any depth)."""
+    return a is b or (
+        structurally_equal(a.args, b.args)
+        and structurally_equal(a.output, b.output)
+    )
 
 
 def _frozen_args(example: Example) -> Example:
@@ -75,8 +87,8 @@ def _frozen_args(example: Example) -> Example:
 
 def _same_inputs(held: Sequence[Example], run: Sequence[Example]) -> bool:
     """Whether two example lists have the same arguments pairwise, with
-    ``structurally_equal``'s strictness: ``==`` (which the warm-reuse
-    prefix check uses) equates 1 with True, whose outputs can differ."""
+    ``structurally_equal``'s strictness: ``==`` equates 1 with True,
+    whose outputs can differ."""
     return len(held) == len(run) and all(
         a is b or structurally_equal(a.args, b.args) for a, b in zip(held, run)
     )
@@ -139,6 +151,10 @@ class SynthesisSession:
         # The pool whose value vectors test_batch reads verdicts from,
         # None when its examples are not the tester's.
         self.vectors: Optional[PoolStore] = None
+        # Recursive candidates' verdicts across runs, None while the
+        # session can call a LaSy function (whose binding may change
+        # between runs) and while it is suspended or pickled.
+        self.verdicts: Optional[SessionVerdicts] = None
         self.all_set: frozenset = frozenset()
         self.max_branches = 1
         self.previous_program: Optional[Expr] = None
@@ -163,6 +179,7 @@ class SynthesisSession:
         self.tester = None
         self.store = None
         self.vectors = None
+        self.verdicts = None
         self.contexts = []
         self.acceptable = {}
         self.previous_program = None
@@ -180,6 +197,7 @@ class SynthesisSession:
         state = self.__dict__.copy()
         for name in ("budget", "stats", "tracer", "tester", "store", "vectors"):
             state[name] = None
+        del state["verdicts"]
         state["contexts"] = []
         state["acceptable"] = {}
         state["previous_program"] = None
@@ -188,6 +206,7 @@ class SynthesisSession:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+        self.verdicts = None
         if self.pool is not None:
             # The pool re-binds to private counters on unpickle; keep
             # the shared-mapping invariant (session and pool must see
@@ -254,6 +273,11 @@ class SynthesisSession:
             (ctx.hole_nt for ctx in self.contexts if ctx.is_trivial),
             self.dsl.start,
         )
+        name = self.signature.name
+        if any(other != name for other in self.lasy_signatures):
+            self.verdicts = None
+        elif self.verdicts is None:
+            self.verdicts = SessionVerdicts()
         self.tester = Tester(
             self.signature,
             self.examples,
@@ -261,6 +285,7 @@ class SynthesisSession:
             stats,
             budget,
             previous_program=previous_program,
+            verdicts=self.verdicts,
         )
         self.runs += 1
         return self
@@ -280,7 +305,7 @@ class SynthesisSession:
         if len(self.examples) < len(held):
             return None
         prefix = self.examples[: len(held)]
-        if prefix != held:
+        if not all(map(_same_example, prefix, held)):
             perm = _prefix_permutation(held, prefix)
             if perm is None:
                 return None

@@ -9,9 +9,23 @@ evaluators consult the oracle exactly where real self-recursion would
 start (``Recurse`` nodes, after the arguments are evaluated), so fuel,
 depth and errors are identical up to that point: a run that never calls
 the oracle *is* the real run. Only examples whose angelic run called the
-oracle are run a second time without it. :meth:`Tester.passed_set`
-keeps the angelic verdicts for the :meth:`Tester.angelic_passed_set`
-call that follows on the same program.
+oracle are run a second time without it.
+
+Each distinct program is tested once per run. :meth:`Tester.passed_set`
+keeps its (T(p), angelic T(p)) pair, keyed by the program (``Expr``
+equality is structural), and a repeat, like the
+:meth:`Tester.angelic_passed_set` call that follows, is answered from
+it, charged like a run. The examples, the oracle's table and previous
+program, the LaSy functions, fuel and depth are all fixed for one
+``Tester``, and evaluation is deterministic.
+
+Across the runs of one session, a recursive candidate's per-example
+verdicts are kept in the session's :class:`SessionVerdicts`. The real
+verdict is reused as it is; the angelic one only while the run's oracle
+answers every argument that verdict's run asked it the same way
+(:meth:`Tester._answers_hold`), so the angelic run would repeat exactly.
+Answers are counted as ``dbs.test.memo_hits``, and angelic entries run
+again as ``dbs.test.memo_stale``.
 
 A candidate whose outputs the pool already holds is not run at all:
 :meth:`Tester.passed_set` and :meth:`Tester.guard_sets` take its value
@@ -23,13 +37,13 @@ charged like a run and counted as ``dbs.test.from_vector``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..budget import Budget, BudgetExhausted
 from ..dsl import Example, Signature
 from ..evaluator import EvaluationError, run_program
 from ..expr import Expr, is_recursive
-from ..values import ERROR, freeze, structurally_equal
+from ..values import ERROR, freeze, strict_key, structurally_equal
 
 # Metric names shared with DbsStats (kept as literals to avoid a
 # circular import with repro.core.dbs).
@@ -41,6 +55,14 @@ PROGRAMS_TESTED = "dbs.programs_tested"
 EVALUATION_FUEL = 60_000
 MAX_RECURSION_DEPTH = 40
 
+# Bound of a session's verdict memo (SessionVerdicts.entries), about
+# 24 MB at word wrap's ~240 bytes an entry; cleared wholesale when full,
+# like the pool's grid cache.
+_VERDICT_MEMO_LIMIT = 100_000
+
+# The example table's answer to an oracle argument it does not hold.
+_NOT_IN_TABLE = object()
+
 
 def _same_types(left: Any, right: Any) -> bool:
     """Whether two ``==``-equal frozen values also agree in type
@@ -50,6 +72,42 @@ def _same_types(left: Any, right: Any) -> bool:
     if type(left) is tuple:
         return all(map(_same_types, left, right))
     return True
+
+
+class SessionVerdicts:
+    """The per-example verdicts of recursive candidates, kept across the
+    runs of one :class:`~.session.SynthesisSession`.
+
+    ``entries`` maps (program, example id) to (real verdict, angelic
+    verdict, what the angelic run asked the oracle, the run's previous
+    program). What it asked is a tuple of (argument, the table's answer
+    or ``_NOT_IN_TABLE``). Example ids are small ints given out per
+    :func:`~repro.core.values.strict_key` of the example's arguments
+    and output, which keeps ``(1,)`` and ``(True,)`` apart."""
+
+    __slots__ = ("entries", "_ids")
+
+    def __init__(self) -> None:
+        self.entries: Dict[Tuple[Expr, int], Tuple] = {}
+        self._ids: Dict[Tuple, int] = {}
+
+    def example_ids(
+        self, examples: Sequence[Example]
+    ) -> Optional[Tuple[int, ...]]:
+        """The ids of ``examples``, or None when one cannot be keyed
+        (there is no ``repr`` fallback, as session keys have: a ``repr``
+        need not tell two values apart)."""
+        ids = self._ids
+        try:
+            return tuple(
+                ids.setdefault(
+                    tuple(map(strict_key, (*example.args, example.output))),
+                    len(ids),
+                )
+                for example in examples
+            )
+        except TypeError:
+            return None
 
 
 class Tester:
@@ -63,6 +121,7 @@ class Tester:
         stats,
         budget: Budget,
         previous_program: Optional[Expr] = None,
+        verdicts: Optional[SessionVerdicts] = None,
     ):
         self.signature = signature
         self.examples = list(examples)
@@ -82,13 +141,26 @@ class Tester:
         self._real_reruns = stats.registry.counter("dbs.test.real_reruns")
         self._from_vector = stats.registry.counter("dbs.test.from_vector")
         self._memo_hits = stats.registry.counter("dbs.test.oracle_memo_hits")
-        # The angelic oracle, built on first use, and how many times it
-        # has been asked (a run that asked it reached a recursive call);
-        # a one-item list, so the oracle need not hold the Tester.
+        self._session_hits = stats.registry.counter("dbs.test.memo_hits")
+        self._session_stale = stats.registry.counter("dbs.test.memo_stale")
+        # The angelic oracle and its example table, built on first use,
+        # and the (argument, table answer) pairs the oracle was asked
+        # during the current run (a run that asked reached a recursive
+        # call).
         self._oracle = None
-        self._oracle_calls = [0]
-        # (program, angelic T(p)) of the last recursive passed_set.
-        self._angelic: Optional[Tuple[Expr, frozenset]] = None
+        self._table: Dict[Tuple, Any] = {}
+        self._asked: List[Tuple[Tuple, Any]] = []
+        # program -> (T(p), angelic T(p)), one pair per distinct program.
+        self._verdicts: Dict[Expr, Tuple[frozenset, frozenset]] = {}
+        # The session's memo of recursive candidates and the examples'
+        # ids in it; both None when the session keeps no memo.
+        ids = (
+            verdicts.example_ids(self.examples)
+            if verdicts is not None
+            else None
+        )
+        self._ids = ids
+        self._session = verdicts.entries if ids is not None else None
         # Per-TDS-example cost attribution (report-trace --hotspots):
         # which example index the evaluation time and the candidate
         # rejections go to. Detailed runs only — the off path pays one
@@ -133,10 +205,9 @@ class Tester:
         """T(p): indices of examples the program handles.
 
         Given the program's value vector ``values``, T(p) is read from
-        it without running anything. A recursive program runs
-        angelically first on each example, and for real only where the
-        angelic run called the oracle; the angelic T(p) is kept for
-        :meth:`angelic_passed_set`."""
+        it without running anything. Otherwise the program's verdicts
+        are computed once per run (see :meth:`_test`) and kept for its
+        repeats and for :meth:`angelic_passed_set`."""
         self._charge()
         if values is not None:
             self._from_vector.value += 1
@@ -148,36 +219,7 @@ class Tester:
                 if value is not ERROR
                 and structurally_equal(value, example.output)
             )
-        oracle = self._recursion_oracle() if is_recursive(program) else None
-        passed = set()
-        angelic = set()
-        asked = self._oracle_calls
-        detailed = self._detailed
-        for index, example in enumerate(self.examples):
-            if detailed:
-                start = perf_counter()
-            calls = asked[0]
-            value = self._run(program, example, oracle)
-            ok = value is not ERROR and structurally_equal(
-                value, example.output
-            )
-            if oracle is not None:
-                if ok:
-                    angelic.add(index)
-                if asked[0] != calls:
-                    self._real_reruns.value += 1
-                    value = self._run(program, example)
-                    ok = value is not ERROR and structurally_equal(
-                        value, example.output
-                    )
-            if detailed:
-                self._ex_seconds.observe(perf_counter() - start, index=index)
-                self._ex_evals.inc(1, index=index)
-            if ok:
-                passed.add(index)
-        if oracle is not None:
-            self._angelic = (program, frozenset(angelic))
-        return frozenset(passed)
+        return self._verdicts_of(program)[0]
 
     def angelic_passed_set(self, program: Expr) -> frozenset:
         """T(p) with recursive calls answered angelically: from the
@@ -189,26 +231,112 @@ class Tester:
         if not is_recursive(program):
             return frozenset()
         self._charge()
-        kept = self._angelic
-        if kept is not None and kept[0] is program:
-            return kept[1]
-        oracle = self._recursion_oracle()
+        return self._verdicts_of(program)[1]
+
+    def _verdicts_of(self, program: Expr) -> Tuple[frozenset, frozenset]:
+        kept = self._verdicts.get(program)
+        if kept is None:
+            kept = self._verdicts[program] = self._test(program)
+        return kept
+
+    def _test(self, program: Expr) -> Tuple[frozenset, frozenset]:
+        """(T(p), angelic T(p)) of ``program`` on every example; the
+        angelic set is empty for a non-recursive program.
+
+        A recursive program runs angelically first, and for real only
+        where the angelic run called the oracle. With a session memo,
+        an example whose entry still holds is answered from it, and a
+        stale entry re-runs angelically only (its real verdict holds)."""
+        recursive = is_recursive(program)
+        oracle = self._recursion_oracle() if recursive else None
+        memo = self._session if recursive else None
+        ids = self._ids
+        asked = self._asked
         passed = set()
+        angelic = set()
+        detailed = self._detailed
         for index, example in enumerate(self.examples):
-            value = self._run(program, example, oracle)
-            if value is not ERROR and structurally_equal(value, example.output):
+            entry = None
+            if memo is not None:
+                key = (program, ids[index])
+                entry = memo.get(key)
+                if entry is not None:
+                    if self._answers_hold(entry[2], entry[3]):
+                        self._session_hits.value += 1
+                        if entry[0]:
+                            passed.add(index)
+                        if entry[1]:
+                            angelic.add(index)
+                        continue
+                    self._session_stale.value += 1
+            if detailed:
+                start = perf_counter()
+            if oracle is None:
+                ok = self._handles(self._run(program, example), example)
+            else:
+                asked.clear()
+                angelic_ok = self._handles(
+                    self._run(program, example, oracle), example
+                )
+                if angelic_ok:
+                    angelic.add(index)
+                if not asked:
+                    ok = angelic_ok
+                elif entry is not None:
+                    ok = entry[0]
+                else:
+                    self._real_reruns.value += 1
+                    ok = self._handles(self._run(program, example), example)
+                if memo is not None:
+                    if len(memo) >= _VERDICT_MEMO_LIMIT:
+                        memo.clear()
+                    memo[key] = (
+                        ok, angelic_ok, tuple(asked), self.previous_program
+                    )
+            if detailed:
+                self._ex_seconds.observe(perf_counter() - start, index=index)
+                self._ex_evals.inc(1, index=index)
+            if ok:
                 passed.add(index)
-        return frozenset(passed)
+        return frozenset(passed), frozenset(angelic)
+
+    def _answers_hold(self, asked: Tuple, previous: Optional[Expr]) -> bool:
+        """Whether this run's oracle answers every argument of ``asked``
+        as the run that recorded them was answered: from the example
+        table with a structurally equal output, or, for an argument the
+        table does not hold, by the same previous program. Each answer
+        is what the run continues with, so equal answers repeat the
+        run."""
+        table = self._table
+        current = self.previous_program
+        for args, answer in asked:
+            now = table.get(args, _NOT_IN_TABLE)
+            if now is _NOT_IN_TABLE:
+                if answer is not _NOT_IN_TABLE or not (
+                    previous is current or previous == current
+                ):
+                    return False
+            elif answer is _NOT_IN_TABLE or not (
+                answer is now or structurally_equal(answer, now)
+            ):
+                return False
+        return True
+
+    @staticmethod
+    def _handles(value: Any, example: Example) -> bool:
+        return value is not ERROR and structurally_equal(value, example.output)
 
     def _recursion_oracle(self):
         """The angelic oracle, built once per Tester. Answers come from
         the example table, else from running the previous program; those
         runs are memoized for the Tester's lifetime, values and
         :class:`EvaluationError` alike (the previous program is fixed
-        and every run gets fresh fuel, so an answer never changes)."""
+        and every run gets fresh fuel, so an answer never changes).
+        Every argument asked is recorded in ``_asked`` with the table's
+        answer."""
         if self._oracle is not None:
             return self._oracle
-        table = {
+        table = self._table = {
             freeze(example.args): freeze(example.output)
             for example in self.examples
         }
@@ -216,14 +344,15 @@ class Tester:
         names = self._param_names
         lasy_fns = self.lasy_fns
         memo_hits = self._memo_hits
-        asked = self._oracle_calls
+        asked = self._asked
         # args -> (args, raised, value or error args).
         memo: Dict[Tuple, Tuple[Tuple, bool, Any]] = {}
 
         def oracle(args):
-            asked[0] += 1
-            if args in table:
-                return table[args]
+            answer = table.get(args, _NOT_IN_TABLE)
+            asked.append((args, answer))
+            if answer is not _NOT_IN_TABLE:
+                return answer
             if previous is None:
                 raise EvaluationError(
                     "angelic recursion: input not in example table"

@@ -16,6 +16,9 @@ Two helpers matter to the synthesizer:
   first-class here: the distinguished :data:`ERROR` value means "this
   expression crashed on that example input", which is itself observable
   behaviour that must participate in dedup.
+
+:func:`strict_key` keys whole values (session example fingerprints)
+with bools told apart from ints at every depth.
 """
 
 from __future__ import annotations
@@ -55,8 +58,25 @@ def freeze(value: Any) -> Any:
     """Convert a value into its canonical immutable representation.
 
     Lists become tuples (recursively); dicts become sorted item tuples.
-    Domain values (XmlNode, Table) are already immutable.
+    Domain values (XmlNode, Table) are already immutable. A value that
+    is frozen already comes back as the same object: an exact ``str``,
+    ``int`` or ``bool`` at once, and an exact tuple whose elements all
+    freeze to themselves (otherwise it is rebuilt from the first element
+    that changes).
     """
+    cls = value.__class__
+    if cls is str or cls is int or cls is bool:
+        return value
+    if cls is tuple:
+        for index, item in enumerate(value):
+            frozen = freeze(item)
+            if frozen is not item:
+                return (
+                    value[:index]
+                    + (frozen,)
+                    + tuple(freeze(v) for v in value[index + 1:])
+                )
+        return value
     if isinstance(value, list):
         return tuple(freeze(v) for v in value)
     if isinstance(value, tuple):
@@ -93,10 +113,24 @@ def signature_key(values: Iterable[Any]) -> Tuple[Any, ...]:
     for v in values:
         frozen = freeze(v)
         # bool/int disambiguation mirrors structurally_equal.
-        if isinstance(frozen, bool):
+        if frozen.__class__ is bool:
             frozen = ("bool", frozen)
         out.append(frozen)
     return tuple(out)
+
+
+def strict_key(value: Any) -> Any:
+    """``value`` frozen, with every bool tagged ``("bool", b)`` at any
+    depth: a hashable key whose ``==`` keeps bools and ints apart as
+    :func:`structurally_equal` does (plain ``==`` equates ``(1,)`` with
+    ``(True,)``). A value holding no bool keys as its frozen self."""
+    frozen = freeze(value)
+    cls = frozen.__class__
+    if cls is bool:
+        return ("bool", frozen)
+    if cls is tuple:
+        return tuple(map(strict_key, frozen))
+    return frozen
 
 
 def value_repr(value: Any) -> str:

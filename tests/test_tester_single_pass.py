@@ -3,10 +3,12 @@
 ``Tester.passed_set`` runs a recursive candidate once per example,
 angelically first, and re-runs for real only the examples whose angelic
 run called the recursion oracle; ``angelic_passed_set`` then answers
-from the verdicts that pass kept. The reference below is the two-pass
-formulation: every example run for real, then every example run again
-under a fresh, unmemoized oracle. Both must give the same T(p) sets for
-every program the DBS loop plugs, on both evaluators.
+from the verdicts that pass kept, as does a repeat of the same program.
+The reference below is the two-pass formulation: every example run for
+real, then every example run again under a fresh, unmemoized oracle.
+Both must give the same T(p) sets for every program the DBS loop plugs,
+on both evaluators, and so must the warm sessions' testers, which take
+recursive candidates' verdicts from earlier runs.
 """
 
 from typing import Dict, List, Tuple
@@ -61,22 +63,48 @@ def _recursive_puzzle(name):
     )
 
 
+Answer = Tuple[str, Expr, frozenset]
+
+
 @pytest.fixture(scope="module")
-def plugged() -> List[Tuple[testing.Tester, List[Expr]]]:
-    """Every (run's tester, programs it was asked about) of the cases."""
-    seen: Dict[int, Tuple[testing.Tester, List[Expr]]] = {}
-    original = testing.Tester.passed_set
+def answered() -> List[Tuple[testing.Tester, List[Answer]]]:
+    """Every (run's tester, the ``("passed" | "angelic", program,
+    verdict)`` calls it answered, in order) of the cases."""
+    seen: Dict[int, Tuple[testing.Tester, List[Answer]]] = {}
+    passed_set = testing.Tester.passed_set
+    angelic_passed_set = testing.Tester.angelic_passed_set
 
-    def recording(self, program, values=None):
-        seen.setdefault(id(self), (self, []))[1].append(program)
-        return original(self, program, values)
+    def record_passed(self, program, values=None):
+        verdict = passed_set(self, program, values)
+        seen.setdefault(id(self), (self, []))[1].append(
+            ("passed", program, verdict)
+        )
+        return verdict
 
-    testing.Tester.passed_set = recording
+    def record_angelic(self, program):
+        verdict = angelic_passed_set(self, program)
+        seen.setdefault(id(self), (self, []))[1].append(
+            ("angelic", program, verdict)
+        )
+        return verdict
+
+    testing.Tester.passed_set = record_passed
+    testing.Tester.angelic_passed_set = record_angelic
     try:
         _synthesize_cases()
     finally:
-        testing.Tester.passed_set = original
+        testing.Tester.passed_set = passed_set
+        testing.Tester.angelic_passed_set = angelic_passed_set
     return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def plugged(answered) -> List[Tuple[testing.Tester, List[Expr]]]:
+    """Every (run's tester, programs it was asked T(p) of) of the cases."""
+    return [
+        (tester, [program for kind, program, _ in calls if kind == "passed"])
+        for tester, calls in answered
+    ]
 
 
 def _fresh_tester(original: testing.Tester) -> testing.Tester:
@@ -158,7 +186,7 @@ def test_single_pass_matches_two_pass_reference(plugged, mode, monkeypatch):
 
     monkeypatch.setattr(testing, "run_program", counting)
     previous_mode = set_eval_mode(mode)
-    recursive = partial = 0
+    recursive = partial = repeats = 0
     try:
         for original, programs in plugged:
             tester = _fresh_tester(original)
@@ -167,12 +195,21 @@ def test_single_pass_matches_two_pass_reference(plugged, mode, monkeypatch):
             # the oracle's runs of the previous program build new ones.
             example_args = {id(e.args) for e in tester.examples}
             reruns = tester._real_reruns
+            tested = set()
             for program in programs:
                 want_passed, want_angelic, reached = _reference(original, program)
                 del candidate_runs[:]
                 before = reruns.value
                 assert tester.passed_set(program) == want_passed, str(program)
                 assert tester.angelic_passed_set(program) == want_angelic, str(program)
+                if program in tested:
+                    # A repeat in the same Tester is answered from the
+                    # verdicts its first test kept: it runs nothing.
+                    repeats += 1
+                    assert not candidate_runs, str(program)
+                    assert reruns.value == before
+                    continue
+                tested.add(program)
                 runs = sum(
                     1
                     for p, args in candidate_runs
@@ -189,9 +226,28 @@ def test_single_pass_matches_two_pass_reference(plugged, mode, monkeypatch):
     finally:
         set_eval_mode(previous_mode)
     # The corpus holds recursive candidates, some of which settle an
-    # example without reaching their recursive call.
+    # example without reaching their recursive call, and programs that
+    # one run plugs more than once.
     assert recursive > 100
     assert partial > 0
+    assert repeats > 0
+
+
+def test_warm_session_verdicts_match_the_reference(answered):
+    """Every verdict the cases' warm sessions answered, across runs and
+    from their memos included, is the two-pass reference's."""
+    hits = stale = 0
+    for tester, calls in answered:
+        for kind, program, verdict in calls:
+            want_passed, want_angelic, _ = _reference(tester, program)
+            want = want_passed if kind == "passed" else want_angelic
+            assert verdict == want, (kind, str(program))
+        hits += tester._session_hits.value
+        stale += tester._session_stale.value
+    # The sessions answered examples from verdicts of earlier runs, and
+    # re-ran angelic verdicts whose oracle answers had changed.
+    assert hits > 0
+    assert stale > 0
 
 
 # -- the oracle memo ----------------------------------------------------
@@ -249,14 +305,15 @@ def test_oracle_memoizes_errors_per_tester(monkeypatch):
         with pytest.raises(EvaluationError):
             oracle((2,))
     assert tester._recursion_oracle() is oracle
-    # Two more candidates ask the same sub-input, through both entry
-    # points (angelic_passed_set without a preceding passed_set too).
+    # A candidate asks the same sub-input; its angelic T(p), and a
+    # structurally equal candidate's, come from the verdicts its
+    # passed_set kept, without asking again.
     candidate = _candidate()
     assert tester.passed_set(candidate) == frozenset()
     assert tester.angelic_passed_set(candidate) == frozenset()
     assert tester.angelic_passed_set(_candidate()) == frozenset()
     assert len(previous_runs) == 1
-    assert tester._memo_hits.value == 4
+    assert tester._memo_hits.value == 3
 
     # A new Tester does not see the old memo.
     fresh = _memo_tester(previous)
@@ -294,3 +351,17 @@ def test_tester_counters_reach_the_trace(tmp_path):
     counters = report_from_file(path).counters
     assert counters.get("dbs.test.real_reruns", 0) > 0
     assert counters.get("dbs.test.oracle_memo_hits", 0) > 0
+
+
+@pytest.mark.trace_smoke
+def test_session_memo_counters_reach_the_trace(tmp_path):
+    from repro.obs import JsonlTracer, report_from_file, tracing
+
+    path = str(tmp_path / "sum-to-n.jsonl")
+    tracer = JsonlTracer(path)
+    with tracing(tracer):
+        _recursive_puzzle("sum-to-n")
+    tracer.flush()
+    counters = report_from_file(path).counters
+    assert counters.get("dbs.test.memo_hits", 0) > 0
+    assert counters.get("dbs.test.memo_stale", 0) > 0

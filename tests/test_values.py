@@ -1,10 +1,14 @@
 """Tests for repro.core.values."""
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.core.values import (
     ERROR,
     ErrorValue,
     freeze,
     signature_key,
+    strict_key,
     structurally_equal,
     value_repr,
 )
@@ -39,6 +43,67 @@ class TestFreeze:
     def test_scalars_pass_through(self):
         assert freeze(5) == 5
         assert freeze("x") == "x"
+
+
+def _reference_freeze(value):
+    """``freeze`` without its fast path for already-frozen values."""
+    if isinstance(value, list):
+        return tuple(_reference_freeze(v) for v in value)
+    if isinstance(value, tuple):
+        return tuple(_reference_freeze(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(
+            sorted((k, _reference_freeze(v)) for k, v in value.items())
+        )
+    return value
+
+
+_NESTED = st.recursive(
+    st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+def _assert_same_typed(left, right):
+    assert type(left) is type(right)
+    if type(left) is tuple:
+        assert len(left) == len(right)
+        for a, b in zip(left, right):
+            _assert_same_typed(a, b)
+    else:
+        assert left == right
+
+
+@given(_NESTED)
+@settings(max_examples=300, deadline=None)
+def test_freeze_matches_the_reference(value):
+    frozen = freeze(value)
+    _assert_same_typed(frozen, _reference_freeze(value))
+    # A frozen value, tuples included, comes back as the same object.
+    assert freeze(frozen) is frozen
+
+
+def test_freeze_rebuilds_a_tuple_from_its_first_changed_element():
+    head = ("a", (1, 2))
+    value = head + ([3],)
+    frozen = freeze(value)
+    assert frozen == ("a", (1, 2), (3,))
+    assert frozen[1] is head[1]
+
+
+class TestStrictKey:
+    def test_nested_bools_are_tagged(self):
+        assert strict_key([(True, 1)]) == ((("bool", True), 1),)
+        assert strict_key((1,)) != strict_key((True,))
+
+    def test_values_without_bools_key_as_frozen(self):
+        assert strict_key([[1, "a"], ()]) == ((1, "a"), ())
+        assert strict_key(False) == ("bool", False)
 
 
 class TestStructuralEquality:
